@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, learn, erm, verify-dp, bounds, sweep, summarize.
-Exit codes: 0 ok, 1 verification failure, 2 usage error.
+Exit codes: 0 ok, 1 verification failure, 2 usage or input error
+(including a class over the budget and a failed sweep trial).
 """
 
 from __future__ import annotations
@@ -322,6 +323,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CsvFormatError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # budget refusals (BudgetExceededError) and failed sweep trials
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -223,10 +223,14 @@ def _load_journal(path: str, config_hash: str) -> dict[int, list[dict]]:
     done: dict[int, list[dict]] = {}
     if not os.path.exists(path):
         return done
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if not ln.strip():
-                continue
+    with open(path, "rb+") as fh:
+        lines = fh.readlines()
+        if lines and not lines[-1].endswith(b"\n"):
+            # a crash tore the final record: drop it so appends start clean
+            fh.truncate(sum(len(ln) for ln in lines[:-1]))
+            lines.pop()
+    for ln in lines:
+        if ln.strip():
             entry = json.loads(ln)
             if "config_hash" in entry and entry["config_hash"] != config_hash:
                 raise ValueError(
@@ -277,7 +281,7 @@ def run_sweep(config: SweepConfig) -> list[TrialRecord]:
         os.makedirs(config.out_dir, exist_ok=True)
         journal = _journal_path(config.out_dir)
         done = _load_journal(journal, chash)
-        if not os.path.exists(journal):
+        if not os.path.exists(journal) or os.path.getsize(journal) == 0:
             with open(journal, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps({"config_hash": chash}) + "\n")
     records: list[TrialRecord] = []

@@ -7,7 +7,9 @@ the distinguished empty-region hypothesis) with an exponential mechanism
 scored by exact mistake counts on the full labeled sample.
 
 Scoring never leaves integer arithmetic: mistake counts are computed with
-0/1 matrix products (exact in float32 up to 2^24) and compared as ints.
+0/1 matrix products and compared as ints. The products run in float32,
+which is exact while each label's count is at most 2^24, and in float64
+for larger samples.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +35,8 @@ from .geometry import (
 from .model import EmptySampleError, ErrorCount, LabeledSample, PPMDataset, partition
 
 DEFAULT_HYPOTHESIS_BUDGET = 50_000_000
-_CHUNK_ENTRIES = 1 << 22       # per-block count-array size target
-_CACHE_LIMIT = 1 << 24         # materialize count blocks below this class size
+_CHUNK_ENTRIES = 1 << 19       # entries per block and per temporary
+_FLOAT32_EXACT = 1 << 24       # largest integer count float32 holds exactly
 
 
 class BudgetExceededError(RuntimeError):
@@ -44,9 +47,20 @@ def default_pool_cap(dim: int):
     """Construction pool caps used by the sweep harness and CLI.
 
     The class size grows like n_pub^(d^2), so d >= 2 sweeps cap the pool;
-    d = 1 stays uncapped. Library calls default to uncapped.
+    d = 1 stays uncapped. d = 2 keeps the cap of 40 its sweeps were run
+    with. For d >= 3 the cap is the largest pool whose worst-case class
+    (no halfspace deduplicated) fits the default hypothesis budget.
+    Library calls default to uncapped.
     """
-    return {1: None, 2: 40, 3: 16}.get(dim, 12)
+    if dim == 1:
+        return None
+    if dim == 2:
+        return 40
+    m = 1
+    while class_cardinality(2 * sum(math.comb(m + 1, j) for j in range(1, dim + 1)),
+                            dim) <= DEFAULT_HYPOTHESIS_BUDGET:
+        m += 1
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,12 +80,12 @@ class HalfspaceFamily:
     def size(self) -> int:
         return len(self.halfspaces)
 
+    @cached_property
     def stacked(self):
-        """(W, w0) arrays for vectorized membership."""
-        if not self.halfspaces:
-            return np.zeros((0, self.dim)), np.zeros(0)
-        W = np.vstack([h.normal for h in self.halfspaces])
-        w0 = np.array([h.offset for h in self.halfspaces])
+        """Read-only (W, w0) arrays for vectorized membership."""
+        W = np.array([h.normal for h in self.halfspaces]).reshape(-1, self.dim)
+        w0 = np.array([h.offset for h in self.halfspaces], dtype=float)
+        W.flags.writeable = w0.flags.writeable = False
         return W, w0
 
 
@@ -194,126 +208,66 @@ def hypothesis_error(g: IntersectionHypothesis, family: HalfspaceFamily,
 # ---------------------------------------------------------------------------
 
 
-def _membership_matrix(family: HalfspaceFamily, X) -> np.ndarray:
-    """(F, n) booleans: point in halfspace AND in the public span."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    F = family.size
-    if F == 0:
-        return np.zeros((0, n), dtype=bool)
-    W, w0 = family.stacked()
+def _membership(family: HalfspaceFamily, X: np.ndarray, dtype) -> np.ndarray:
+    """(F, n) 0/1 entries: point in halfspace AND in the public span."""
+    W, w0 = family.stacked
     tol = MEM_TOL * (1.0 + np.linalg.norm(X, axis=1))
-    M = np.empty((F, n), dtype=bool)
+    in_span = family.aff.contains_many(X)[:, None]
+    F, n = family.size, X.shape[0]
+    M = np.empty((F, n), dtype=dtype)
     chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
     for lo in range(0, F, chunk):
         hi = min(F, lo + chunk)
-        M[lo:hi] = (X @ W[lo:hi].T - w0[lo:hi] >= -tol[:, None]).T
-    M &= family.aff.contains_many(X)[None, :]
+        signed = X @ W[lo:hi].T
+        signed -= w0[lo:hi]
+        M[lo:hi] = ((signed >= -tol[:, None]) & in_span).T
     return M
 
 
-def _block_descriptors(F: int, dim: int, chunk: int = _CHUNK_ENTRIES):
-    """Blocks covering member tuples of sizes 1..dim in enumeration order."""
-    descs = []
-    if F == 0:
-        return descs
-    descs.append(("single", 0, F))
-    if dim >= 2 and F >= 2:
-        rows = max(1, chunk // F)
-        lo = 0
-        while lo < F - 1:
-            hi = min(F - 1, lo + rows)
-            descs.append(("pair", lo, hi))
-            lo = hi
-    if dim >= 3 and F >= 3:
-        for i in range(F - 2):
-            descs.append(("triple", i))
-    if dim >= 4:
-        for size in range(4, dim + 1):
-            if F < size:
-                break
-            combos = itertools.combinations(range(F), size)
-            while True:
-                block = np.array(list(itertools.islice(combos, chunk)), dtype=np.int64)
-                if block.size == 0:
-                    break
-                descs.append(("tuple", size, block))
-    return descs
-
-
-def _block_length(desc, F: int) -> int:
-    kind = desc[0]
-    if kind == "single":
-        return desc[2] - desc[1]
-    if kind == "pair":
-        lo, hi = desc[1], desc[2]
-        return sum(F - 1 - i for i in range(lo, hi))
-    if kind == "triple":
-        return math.comb(F - 1 - desc[1], 2)
-    return desc[2].shape[0]
-
-
-def _block_counts(desc, M0, M1, n0: int) -> np.ndarray:
-    """int64 mistake counts for one block.
+def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
+    """Mistake counts of the whole class as ``(rank_base, counts)`` blocks
+    that cover ranks 0, 1, 2, ... in enumeration order.
 
     mistakes(T) = #(y=0 outside region) + #(y=1 inside region)
                 = n0 - |intersection on y=0| + |intersection on y=1|.
+
+    Singles are row counts. A tuple of size s >= 2 takes the product of
+    its first s-2 member rows once; on 0/1 rows that keeps the points inside
+    all of them. One GEMM per row chunk over those points then scores every
+    choice of the last two members (the strict upper triangle).
     """
-    kind = desc[0]
-    F = M0.shape[0]
-    if kind == "single":
-        lo, hi = desc[1], desc[2]
-        in0 = M0[lo:hi].sum(axis=1)
-        in1 = M1[lo:hi].sum(axis=1)
-        return np.rint(n0 - in0 + in1).astype(np.int64)
-    if kind == "pair":
-        lo, hi = desc[1], desc[2]
-        C = (n0 - M0[lo:hi] @ M0.T) + M1[lo:hi] @ M1.T
-        parts = [C[r, lo + r + 1:] for r in range(hi - lo)]
-        return np.rint(np.concatenate(parts)).astype(np.int64)
-    if kind == "triple":
-        i = desc[1]
-        B0 = M0[i + 1: F - 1] * M0[i]
-        B1 = M1[i + 1: F - 1] * M1[i]
-        C = (n0 - B0 @ M0.T) + B1 @ M1.T
-        parts = [C[r, i + 2 + r:] for r in range(F - 2 - i)]
-        return np.rint(np.concatenate(parts)).astype(np.int64)
-    combos = desc[2]
-    in0 = M0[combos[:, 0]].copy()
-    in1 = M1[combos[:, 0]].copy()
-    for t in range(1, desc[1]):
-        in0 *= M0[combos[:, t]]
-        in1 *= M1[combos[:, t]]
-    return np.rint(n0 - in0.sum(axis=1) + in1.sum(axis=1)).astype(np.int64)
-
-
-def _unrank_in_block(desc, offset: int, F: int) -> tuple[int, ...]:
-    kind = desc[0]
-    if kind == "single":
-        return (desc[1] + offset,)
-    if kind == "pair":
-        i = desc[1]
-        while offset >= F - 1 - i:
-            offset -= F - 1 - i
-            i += 1
-        return (i, i + 1 + offset)
-    if kind == "triple":
-        i = desc[1]
-        j = i + 1
-        while offset >= F - 1 - j:
-            offset -= F - 1 - j
-            j += 1
-        return (i, j, j + 1 + offset)
-    return tuple(int(v) for v in desc[2][offset])
-
-
-def _split_by_label(M: np.ndarray, y: np.ndarray, dim: int):
-    # matrix products only happen for member tuples of size >= 2; with a
-    # single-member class boolean row sums suffice and save the float copy
-    dtype = np.float32 if dim >= 2 else bool
-    M0 = np.ascontiguousarray(M[:, y == 0], dtype=dtype)
-    M1 = np.ascontiguousarray(M[:, y == 1], dtype=dtype)
-    return M0, M1
+    X0 = sample.X[sample.y == 0]
+    X1 = sample.X[sample.y == 1]
+    n0 = X0.shape[0]
+    yield 0, np.array([n0], dtype=np.int64)
+    F = family.size
+    if F == 0:
+        return
+    # d = 1 needs only row counts; GEMM inner products are exact in float32
+    # only while each label's count is at most 2^24
+    wide = max(n0, X1.shape[0]) > _FLOAT32_EXACT
+    dtype = bool if dim == 1 else np.float64 if wide else np.float32
+    M0 = _membership(family, X0, dtype)
+    M1 = _membership(family, X1, dtype)
+    yield 1, n0 - np.count_nonzero(M0, axis=1) + np.count_nonzero(M1, axis=1)
+    rank = 1 + F
+    for size in range(2, dim + 1):
+        for prefix in itertools.combinations(range(F - 2), size - 2):
+            start = prefix[-1] + 1 if prefix else 0
+            pts0 = M0[list(prefix)].all(axis=0) if prefix else slice(None)
+            pts1 = M1[list(prefix)].all(axis=0) if prefix else slice(None)
+            S0, S1 = M0[start:, pts0], M1[start:, pts1]
+            m = F - start
+            rows = max(1, _CHUNK_ENTRIES // m)
+            for a in range(0, m - 1, rows):
+                b = min(m - 1, a + rows)
+                inside = S1[a:b] @ S1[a + 1:].T
+                inside -= S0[a:b] @ S0[a + 1:].T
+                keep = np.arange(m - a - 1) >= np.arange(b - a)[:, None]
+                counts = inside[keep].astype(np.int64)
+                counts += n0
+                yield rank, counts
+                rank += counts.size
 
 
 def all_mistake_counts(family: HalfspaceFamily, sample: LabeledSample, dim: int,
@@ -325,13 +279,10 @@ def all_mistake_counts(family: HalfspaceFamily, sample: LabeledSample, dim: int,
     if limit is not None and card > limit:
         raise BudgetExceededError(
             f"class too large; reduce pool_cap (|G| = {card} > {limit})")
-    M = _membership_matrix(family, sample.X)
-    M0, M1 = _split_by_label(M, sample.y, dim)
-    n0 = int(np.sum(sample.y == 0))
-    out = [np.array([n0], dtype=np.int64)]
-    for desc in _block_descriptors(family.size, dim):
-        out.append(_block_counts(desc, M0, M1, n0))
-    return np.concatenate(out)
+    out = np.empty(card, dtype=np.int64)
+    for base, counts in _score_blocks(family, sample, dim):
+        out[base:base + counts.size] = counts
+    return out
 
 
 def unrank_hypothesis(rank: int, family_size: int, dim: int) -> IntersectionHypothesis:
@@ -479,48 +430,99 @@ def erm_halfspace(S_prime: LabeledSample, dim: int):
 
 def best_in_class(classG: ClassG, S_prime: LabeledSample):
     """Exact minimum mistake count over the class; first minimizer in
-    enumeration order.
-
-    Halfspaces with identical membership patterns on the sample collapse to
-    their first-index representative before subsets are scanned; any member
-    tuple realizes the same region pattern as a representative tuple that
-    enumerates no later, so both the minimum and the identity of the first
-    minimizer are preserved.
-    """
+    enumeration order."""
     if S_prime.n == 0:
         raise EmptySampleError("empty sample")
-    family = classG.family
-    n = S_prime.n
-    n0 = int(np.sum(S_prime.y == 0))
-    best_count = n0  # empty-region hypothesis, rank 0
-    best_members: tuple[int, ...] | None = None
-    if family.size == 0:
-        return EMPTY_REGION, ErrorCount(best_count, n)
-
-    M = _membership_matrix(family, S_prime.X)
-    packed = np.packbits(M, axis=1)
-    _, first = np.unique(packed, axis=0, return_index=True)
-    reps = np.sort(first)
-    M0, M1 = _split_by_label(M[reps], S_prime.y, classG.dim)
-    R = reps.size
-    for desc in _block_descriptors(R, classG.dim):
-        counts = _block_counts(desc, M0, M1, n0)
-        if counts.size == 0:
-            continue
-        local_best = int(counts.min())
-        if local_best < best_count:
-            offset = int(np.argmin(counts))
-            best_count = local_best
-            local = _unrank_in_block(desc, offset, R)
-            best_members = tuple(int(reps[i]) for i in local)
-    if best_members is None:
-        return EMPTY_REGION, ErrorCount(best_count, n)
-    return IntersectionHypothesis(best_members), ErrorCount(best_count, n)
+    best_rank, best_count = 0, S_prime.n + 1
+    for base, counts in _score_blocks(classG.family, S_prime, classG.dim):
+        k = int(np.argmin(counts))
+        if counts[k] < best_count:
+            best_rank, best_count = base + k, int(counts[k])
+    g = unrank_hypothesis(best_rank, classG.family.size, classG.dim)
+    return g, ErrorCount(best_count, S_prime.n)
 
 
 # ---------------------------------------------------------------------------
 # The learning algorithm
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class MechanismDistribution:
+    """Exact selection law of the exponential mechanism over the class.
+
+    log_prob_i = -(eps/2) * mistakes_i - log sum_j exp(-(eps/2) * mistakes_j);
+    equivalently (eps*n/2) * q_i with score q_i = -mistakes_i / n and
+    sensitivity 1/n. The law depends on the class only through the histogram
+    of mistake counts (at most n+1 bins), so the normalizer is a sum over
+    bins and a draw picks a count first, then a hypothesis with that count.
+    Holds a read-only view of ``mistake_counts``.
+    """
+
+    mistake_counts: np.ndarray
+    epsilon: float
+    n: int
+    histogram: np.ndarray = field(init=False)  # index = mistake count
+    min_mistakes: int = field(init=False)
+    log_normalizer: float = field(init=False)  # log sum of exp(-eps*(c - min)/2)
+
+    def __post_init__(self):
+        c = np.asarray(self.mistake_counts, dtype=np.int64).view()
+        if c.size == 0:
+            raise ValueError("empty score list")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        hist = np.bincount(c, minlength=self.n + 1)  # copies read-only input
+        c.flags.writeable = hist.flags.writeable = False
+        object.__setattr__(self, "mistake_counts", c)
+        object.__setattr__(self, "histogram", hist)
+        object.__setattr__(self, "min_mistakes", int(np.flatnonzero(hist)[0]))
+        object.__setattr__(self, "log_normalizer",
+                           math.log(math.fsum(self._bin_weights())))
+
+    def _bin_weights(self) -> np.ndarray:
+        """hist[c] * exp(-eps*(c - min)/2) for the counts c >= min."""
+        tail = self.histogram[self.min_mistakes:]
+        return tail * np.exp(-(self.epsilon / 2.0) * np.arange(tail.size))
+
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        shift = self.mistake_counts - self.min_mistakes
+        lp = -(self.epsilon / 2.0) * shift - self.log_normalizer
+        lp.flags.writeable = False
+        return lp
+
+    @property
+    def probs(self) -> np.ndarray:
+        return np.exp(self.log_probs)
+
+    def sample(self, rng) -> tuple[int, float]:
+        """Draw a rank; also returns the uniform draw that picked its count.
+
+        The count c is found by inverting the uniform draw over the
+        cumulative bin weights; the rank is then the k-th (k uniform) of the
+        hypotheses with count c, found in one chunked pass.
+        """
+        u = float(rng.random())
+        cum = np.cumsum(self._bin_weights())
+        # never past the last bin of positive weight
+        c = self.min_mistakes + min(
+            int(np.searchsorted(cum, u * cum[-1], side="right")),
+            int(np.searchsorted(cum, cum[-1], side="left")))
+        k = int(rng.integers(self.histogram[c]))
+        for lo in range(0, self.mistake_counts.size, _CHUNK_ENTRIES):
+            hits = np.flatnonzero(self.mistake_counts[lo:lo + _CHUNK_ENTRIES] == c)
+            if k < hits.size:
+                return lo + int(hits[k]), u
+            k -= hits.size
+        raise AssertionError("histogram out of step with the counts")
+
+
+def mechanism_distribution(mistake_counts, epsilon: float, n: int) -> MechanismDistribution:
+    return MechanismDistribution(mistake_counts=np.asarray(mistake_counts),
+                                 epsilon=float(epsilon), n=int(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,7 +539,6 @@ class LearnDiagnostics:
     family_size: int
     class_size: int
     aff_dim: int
-    method: str
     selected_rank: int
     selected_mistakes: int
     min_mistakes: int
@@ -554,63 +555,16 @@ class LearnResult(NamedTuple):
     diagnostics: LearnDiagnostics
 
 
-def _exact_select(descs, counts_of, lengths, n0, eps, rng):
-    """Three-pass exact exponential-mechanism draw over the streamed class.
-
-    Pass 1 finds the best (minimum) mistake count and the count histogram;
-    pass 2 accumulates the max-shifted normalizer; pass 3 re-streams to
-    invert the CDF at a uniform draw.
-    """
-    c_min = n0
-    hist: dict[int, int] = {n0: 1}
-    for desc in descs:
-        c = counts_of(desc)
-        c_min = min(c_min, int(c.min())) if c.size else c_min
-        vals, cnts = np.unique(c, return_counts=True)
-        for v, k in zip(vals, cnts):
-            hist[int(v)] = hist.get(int(v), 0) + int(k)
-
-    w_empty = math.exp(-eps * (n0 - c_min) / 2.0)
-    block_sums = []
-    for desc in descs:
-        w = np.exp(-(eps / 2.0) * (counts_of(desc) - c_min))
-        block_sums.append(float(w.sum()))
-    Z = w_empty + math.fsum(block_sums)
-
-    u = float(rng.random())
-    t = u * Z
-    rank, offset_desc = 0, None
-    if t > w_empty:
-        cum = w_empty
-        rank_base = 1
-        for desc, s, length in zip(descs, block_sums, lengths):
-            if cum + s < t and desc is not descs[-1]:
-                cum += s
-                rank_base += length
-                continue
-            w = np.exp(-(eps / 2.0) * (counts_of(desc) - c_min))
-            cw = cum + np.cumsum(w)
-            local = int(np.searchsorted(cw, t, side="left"))
-            local = min(local, length - 1)
-            rank = rank_base + local
-            offset_desc = (desc, local)
-            break
-    return rank, offset_desc, hist, c_min, Z, u
-
-
 def learn_half(dataset: PPMDataset, epsilon: float, pool_cap: int | None = None,
-               seed=0, budget: int = DEFAULT_HYPOTHESIS_BUDGET,
-               method: str = "exact") -> LearnResult:
+               seed=0, budget: int = DEFAULT_HYPOTHESIS_BUDGET) -> LearnResult:
     """Private halfspace-mixture learning.
 
     Builds the public family, scores every hypothesis in the intersection
     class by exact mistake count on the full labeled sample, and samples
     one via the exponential mechanism with score -err and sensitivity 1/n,
     i.e. selection probability proportional to exp(-eps * mistakes / 2).
-
-    ``method="gumbel"`` switches to a single-pass Gumbel-max draw (same
-    distribution, different stream of randomness); privacy-audited runs use
-    the exact path only.
+    The draw comes from the same ``MechanismDistribution`` that
+    ``verify_dp`` audits.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -619,80 +573,21 @@ def learn_half(dataset: PPMDataset, epsilon: float, pool_cap: int | None = None,
         msg = f"epsilon {epsilon} outside (0, 1]; guarantees degrade"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
         notes.append(msg)
-    if method not in ("exact", "gumbel"):
-        raise ValueError(f"unknown selection method {method!r}")
 
     s_pub, s_priv, s_prime = partition(dataset)
     family = construct_halfspace_family(s_pub, dataset.dim, pool_cap)
-    card = class_cardinality(family.size, dataset.dim)
-    if card > budget:
-        raise BudgetExceededError(
-            f"class too large; reduce pool_cap (|G| = {card} > budget {budget})")
-
-    n = dataset.n
-    n0 = int(np.sum(dataset.y == 0))
-    rng = np.random.default_rng(seed)
-
-    M = _membership_matrix(family, s_prime.X)
-    M0, M1 = _split_by_label(M, s_prime.y, dataset.dim)
-    descs = _block_descriptors(family.size, dataset.dim)
-    lengths = [_block_length(d, family.size) for d in descs]
-
-    if card <= _CACHE_LIMIT:
-        cache = {id(d): _block_counts(d, M0, M1, n0) for d in descs}
-        counts_of = lambda d: cache[id(d)]
-    else:
-        counts_of = lambda d: _block_counts(d, M0, M1, n0)
-
-    u = None
-    if method == "exact":
-        rank, offset_desc, hist, c_min, Z, u = _exact_select(
-            descs, counts_of, lengths, n0, epsilon, rng)
-    else:
-        best_key = -epsilon * n0 / 2.0 + float(rng.gumbel())
-        rank = 0
-        offset_desc = None
-        hist = {n0: 1}
-        c_min = n0
-        rank_base = 1
-        for desc, length in zip(descs, lengths):
-            c = counts_of(desc)
-            c_min = min(c_min, int(c.min())) if c.size else c_min
-            vals, cnts = np.unique(c, return_counts=True)
-            for v, k in zip(vals, cnts):
-                hist[int(v)] = hist.get(int(v), 0) + int(k)
-            keys = -epsilon * c / 2.0 + rng.gumbel(size=length)
-            local = int(np.argmax(keys))
-            if float(keys[local]) > best_key:
-                best_key = float(keys[local])
-                rank = rank_base + local
-                offset_desc = (desc, local)
-            rank_base += length
-        Z = math.fsum(v * math.exp(-epsilon * (k - c_min) / 2.0)
-                      for k, v in hist.items())
-
-    if offset_desc is None:
-        g_hat = EMPTY_REGION
-        selected = n0
-    else:
-        desc, local = offset_desc
-        members = _unrank_in_block(desc, local, family.size)
-        g_hat = IntersectionHypothesis(members)
-        selected = int(counts_of(desc)[local])
-
-    hist_arr = np.zeros(n + 1, dtype=np.int64)
-    for v, k in hist.items():
-        hist_arr[v] = k
-    hist_arr.flags.writeable = False
-
+    counts = all_mistake_counts(family, s_prime, dataset.dim, limit=budget)
+    dist = mechanism_distribution(counts, epsilon, dataset.n)
+    rank, u = dist.sample(np.random.default_rng(seed))
+    selected = int(counts[rank])
     diag = LearnDiagnostics(
-        n=n, n_pub=dataset.n_pub, n_priv=dataset.n_priv, dim=dataset.dim,
+        n=dataset.n, n_pub=dataset.n_pub, n_priv=dataset.n_priv, dim=dataset.dim,
         epsilon=float(epsilon), pool_cap=pool_cap,
         pool_size=len(family.pool_indices), family_size=family.size,
-        class_size=card, aff_dim=family.aff.k, method=method,
+        class_size=counts.size, aff_dim=family.aff.k,
         selected_rank=rank, selected_mistakes=selected,
-        min_mistakes=c_min, error=ErrorCount(selected, n),
-        mistake_histogram=hist_arr, log_normalizer=float(np.log(Z)),
+        min_mistakes=dist.min_mistakes, error=ErrorCount(selected, dataset.n),
+        mistake_histogram=dist.histogram, log_normalizer=dist.log_normalizer,
         uniform_draw=u, notes=tuple(notes),
     )
-    return LearnResult(g_hat, family, diag)
+    return LearnResult(unrank_hypothesis(rank, family.size, dataset.dim), family, diag)

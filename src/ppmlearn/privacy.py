@@ -1,24 +1,25 @@
-"""Exact exponential-mechanism distributions and a pure-DP auditor.
+"""A pure-DP auditor of the learner's exponential mechanism.
 
 The auditor is exact rather than sampling-based: it materializes the full
 output distribution of the learner over the hypothesis class for a dataset
 and for single-private-entry replacements of it, and compares the two
-pointwise. Because the class is built from public entries only, neighbor
-runs share the same hypothesis space and the log-ratio is well defined at
-every outcome.
+pointwise. The distributions are the learner's own ``MechanismDistribution``
+(re-exported here), the object ``learn_half`` draws from. Because the class
+is built from public entries only, neighbor runs share the same hypothesis
+space and the log-ratio is well defined at every outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .learner import (
-    BudgetExceededError,
-    class_cardinality,
+    MechanismDistribution,  # re-exported: the distribution the auditor checks
     construct_halfspace_family,
     all_mistake_counts,
+    mechanism_distribution,
 )
 from .model import LabeledSample, PPMDataset, partition
 
@@ -28,46 +29,6 @@ RATIO_SLACK = 1e-9
 
 class IllegalNeighborError(ValueError):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class MechanismDistribution:
-    """Exact selection distribution of the exponential mechanism.
-
-    log_prob_i = -(eps/2) * mistakes_i - logsumexp_j(-(eps/2) * mistakes_j);
-    equivalently (eps*n/2) * q_i with score q_i = -mistakes_i / n and
-    sensitivity 1/n.
-    """
-
-    mistake_counts: np.ndarray
-    epsilon: float
-    n: int
-    log_probs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        c = np.array(np.asarray(self.mistake_counts, dtype=np.int64))
-        if c.size == 0:
-            raise ValueError("empty score list")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        logits = -(self.epsilon / 2.0) * c.astype(float)
-        shift = logits.max()
-        lp = logits - (shift + np.log(np.sum(np.exp(logits - shift))))
-        c.flags.writeable = False
-        lp.flags.writeable = False
-        object.__setattr__(self, "mistake_counts", c)
-        object.__setattr__(self, "log_probs", lp)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
-
-
-def mechanism_distribution(mistake_counts, epsilon: float, n: int) -> MechanismDistribution:
-    return MechanismDistribution(mistake_counts=np.asarray(mistake_counts),
-                                 epsilon=float(epsilon), n=int(n))
 
 
 def replace_entry(dataset: PPMDataset, index: int, x, y: int) -> PPMDataset:
@@ -112,13 +73,6 @@ class DPAuditReport:
         return all(t.max_log_ratio <= t.epsilon + self.slack for t in self.trials)
 
 
-def _point_contributions(family, dim: int, x, y: int) -> np.ndarray:
-    """Per-hypothesis 0/1 mistake contribution of a single labeled point."""
-    sample = LabeledSample(np.asarray(x, dtype=float).reshape(1, -1),
-                           np.array([y], dtype=np.uint8), np.array([0]))
-    return all_mistake_counts(family, sample, dim)
-
-
 def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
               trials: int = 50, seed=0,
               class_limit: int = DEFAULT_AUDIT_CLASS_LIMIT,
@@ -137,10 +91,6 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
         raise ValueError("epsilon must be positive")
     s_pub, s_priv, s_prime = partition(dataset)
     family = construct_halfspace_family(s_pub, dataset.dim, pool_cap)
-    card = class_cardinality(family.size, dataset.dim)
-    if card > class_limit:
-        raise BudgetExceededError(
-            f"class too large; reduce pool_cap (|G| = {card} > {class_limit})")
     priv_idx = np.flatnonzero(dataset.p)
     if indices is not None:
         indices = [int(i) for i in indices]
@@ -162,13 +112,15 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
             idx = int(rng.choice(priv_idx))
         x_new = rng.standard_normal(dataset.dim)
         y_new = int(rng.integers(0, 2))
-        old = _point_contributions(family, dataset.dim, dataset.X[idx], int(dataset.y[idx]))
-        new = _point_contributions(family, dataset.dim, x_new, y_new)
-        neighbor_counts = base_counts - old + new
+        # mistakes on (x, y) and on (x, 1-y) sum to 1 for every hypothesis,
+        # so dropping the old entry adds its flipped mistakes minus one
+        swap = LabeledSample(np.vstack([dataset.X[idx], x_new]),
+                             [1 - int(dataset.y[idx]), y_new], [idx, idx])
+        neighbor_counts = base_counts - 1 + all_mistake_counts(family, swap, dataset.dim)
         for eps in epsilons:
             d1 = mechanism_distribution(neighbor_counts, eps, dataset.n)
             ratio = float(np.max(np.abs(base_dists[eps].log_probs - d1.log_probs)))
             results.append(NeighborTrial(index=idx, max_log_ratio=ratio, epsilon=eps))
     return DPAuditReport(epsilons=epsilons, trials=tuple(results),
-                         class_size=card, family_size=family.size,
+                         class_size=base_counts.size, family_size=family.size,
                          n=dataset.n, slack=RATIO_SLACK)

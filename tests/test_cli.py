@@ -3,6 +3,7 @@ import json
 import pytest
 
 import ppmlearn.cli as cli
+from ppmlearn.learner import BudgetExceededError
 from ppmlearn.privacy import DPAuditReport, NeighborTrial
 
 
@@ -69,6 +70,36 @@ def test_bad_csv_exit_two(tmp_path, capsys):
     assert run_cli(["learn", "--data", str(bad), "--epsilon", "1.0"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_budget_refusal_exit_two(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path)
+    run_cli(["gen", "--dim", "2", "--n", "24", "--seed", "9", "--out", out])
+    capsys.readouterr()
+
+    def refuse(*a, **k):
+        raise BudgetExceededError("class too large; reduce pool_cap (|G| = 9 > 5)")
+
+    monkeypatch.setattr(cli, "learn_half", refuse)
+    assert run_cli(["learn", "--data", f"{out}/dataset.csv", "--epsilon", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: class too large; reduce pool_cap (|G| = 9 > 5)\n"
+
+
+def test_failed_sweep_trial_exit_two(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "generator": {"dim": 1, "target_normal": [1.0], "target_offset": 0.0},
+        "n_grid": [40], "epsilon_grid": [1.0], "holdout": 1000}))
+
+    def fail(config):
+        raise RuntimeError("cell (n=40, epsilon=1.0) trial 0 failed: inner")
+
+    monkeypatch.setattr(cli, "run_sweep", fail)
+    code = run_cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: cell (n=40, epsilon=1.0) trial 0 failed: inner\n"
 
 
 def test_bounds_table(capsys):

@@ -95,6 +95,28 @@ def test_sweep_resume_reproduces_straight_run(tmp_path, monkeypatch):
         (tmp_path / "b" / "records.csv").read_bytes()
 
 
+def test_sweep_resumes_past_a_torn_final_journal_line(tmp_path):
+    cfg_a = small_config(tmp_path / "a", n_grid=(30, 50))
+    run_sweep(cfg_a)
+    cfg_b = small_config(tmp_path / "b", n_grid=(30, 50))
+    run_sweep(cfg_b)
+    journal = tmp_path / "b" / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    # a crash halfway through writing the last cell's record
+    journal.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+    (tmp_path / "b" / "records.csv").unlink()
+    assert len(run_sweep(cfg_b)) == 2
+    assert (tmp_path / "a" / "records.csv").read_bytes() == \
+        (tmp_path / "b" / "records.csv").read_bytes()
+    resumed = journal.read_text().splitlines(keepends=True)
+    assert [json.loads(ln).get("cell") for ln in resumed] == [None, 0, 1]
+    assert resumed[:-1] == lines[:-1] and resumed[-1].endswith("\n")
+    # a malformed line that is not the last one is still an error
+    journal.write_text(lines[0] + lines[1][:10] + "\n" + lines[2])
+    with pytest.raises(ValueError):
+        run_sweep(cfg_b)
+
+
 def test_journal_config_mismatch_rejected(tmp_path):
     cfg = small_config(tmp_path)
     (tmp_path / "journal.jsonl").write_text('{"config_hash": "deadbeef"}\n')

@@ -1,10 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from ppmlearn.geometry import Halfspace
+import ppmlearn.learner as learner
+import ppmlearn.privacy as privacy
 from ppmlearn.learner import (
+    DEFAULT_HYPOTHESIS_BUDGET,
     EMPTY_REGION,
     BudgetExceededError,
     IntersectionHypothesis,
@@ -227,6 +231,29 @@ def test_all_mistake_counts_match_naive_enumeration():
         assert counts.tolist() == naive
 
 
+def test_counts_switch_to_float64_past_the_float32_limit(monkeypatch):
+    dtypes = []
+    real = learner._membership
+
+    def spy(family, X, dtype):
+        dtypes.append(dtype)
+        return real(family, X, dtype)
+
+    monkeypatch.setattr(learner, "_membership", spy)
+    for dim, n, seed in [(2, 12, 1), (3, 9, 2)]:
+        ds = label_determined_dataset(dim, n, seed=seed, eta=0.2)
+        s_prime = partition(ds)[2]
+        assert max(np.sum(s_prime.y == 0), np.sum(s_prime.y == 1)) > 3
+        fam = construct_halfspace_family(partition(ds)[0], dim)
+        naive = [hypothesis_error(g, fam, s_prime).mistakes
+                 for g in enumerate_class(fam, dim)]
+        for limit, dtype in [(1 << 24, np.float32), (3, np.float64)]:
+            monkeypatch.setattr(learner, "_FLOAT32_EXACT", limit)
+            dtypes.clear()
+            assert all_mistake_counts(fam, s_prime, dim).tolist() == naive
+            assert dtypes == [dtype, dtype]
+
+
 # --- ERM ---------------------------------------------------------------------------
 
 
@@ -370,8 +397,6 @@ def test_learn_half_epsilon_validation():
     ds = label_determined_dataset(1, 10, seed=32)
     with pytest.raises(ValueError):
         learn_half(ds, 0.0)
-    with pytest.raises(ValueError):
-        learn_half(ds, 1.0, method="bogus")
 
 
 def test_learn_half_budget_guard():
@@ -403,38 +428,55 @@ def test_learn_half_deterministic_per_seed():
 
 
 def test_learn_half_selection_frequencies_match_exact_distribution():
-    ds = label_determined_dataset(1, 8, seed=36)
-    s_prime = partition(ds)[2]
-    fam = construct_halfspace_family(partition(ds)[0], 1)
-    counts = all_mistake_counts(fam, s_prime, 1)
-    dist = mechanism_distribution(counts, 1.0, ds.n)
-    draws = 4000
-    freq = np.zeros(counts.size)
-    for seed in range(draws):
-        res = learn_half(ds, 1.0, seed=seed)
-        freq[res.diagnostics.selected_rank] += 1
-    freq /= draws
-    tv = 0.5 * np.abs(freq - dist.probs).sum()
-    assert tv < 0.05
+    for dim in (1, 2):
+        ds = label_determined_dataset(dim, 8, seed=36)
+        s_prime = partition(ds)[2]
+        fam = construct_halfspace_family(partition(ds)[0], dim)
+        counts = all_mistake_counts(fam, s_prime, dim)
+        dist = mechanism_distribution(counts, 1.0, ds.n)
+        draws = 4000
+        freq = np.zeros(counts.size)
+        for seed in range(draws):
+            res = learn_half(ds, 1.0, seed=seed)
+            freq[res.diagnostics.selected_rank] += 1
+        freq /= draws
+        tv = 0.5 * np.abs(freq - dist.probs).sum()
+        assert tv < 0.05
 
 
-def test_learn_half_gumbel_path_agrees_in_distribution():
-    ds = label_determined_dataset(1, 8, seed=37)
-    s_prime = partition(ds)[2]
-    fam = construct_halfspace_family(partition(ds)[0], 1)
-    counts = all_mistake_counts(fam, s_prime, 1)
-    dist = mechanism_distribution(counts, 1.0, ds.n)
-    draws = 4000
-    freq = np.zeros(counts.size)
-    for seed in range(draws):
-        res = learn_half(ds, 1.0, seed=seed, method="gumbel")
-        freq[res.diagnostics.selected_rank] += 1
-    freq /= draws
-    tv = 0.5 * np.abs(freq - dist.probs).sum()
-    assert tv < 0.05
+def test_learn_half_draws_from_the_audited_distribution(monkeypatch):
+    assert privacy.MechanismDistribution is learner.MechanismDistribution
+    assert privacy.mechanism_distribution is learner.mechanism_distribution
+    ds = label_determined_dataset(2, 14, seed=34, eta=0.2)
+    res = learn_half(ds, 0.5, seed=3)
+    counts = all_mistake_counts(res.family, partition(ds)[2], 2)
+    dist = mechanism_distribution(counts, 0.5, ds.n)
+    d = res.diagnostics
+    assert np.array_equal(d.mistake_histogram, dist.histogram)
+    assert d.min_mistakes == dist.min_mistakes
+    assert d.log_normalizer == dist.log_normalizer
+    assert d.selected_mistakes == dist.mistake_counts[d.selected_rank]
+    assert dist.sample(np.random.default_rng(3)) == (d.selected_rank, d.uniform_draw)
+    # the learner's draw goes through the audited class's sampler
+    drawn = []
+    real = learner.MechanismDistribution.sample
+
+    def spy(self, rng):
+        drawn.append(self)
+        return real(self, rng)
+
+    monkeypatch.setattr(learner.MechanismDistribution, "sample", spy)
+    again = learn_half(ds, 0.5, seed=3)
+    assert len(drawn) == 1 and isinstance(drawn[0], privacy.MechanismDistribution)
+    assert again.diagnostics.selected_rank == d.selected_rank
 
 
 def test_default_pool_caps():
     assert default_pool_cap(1) is None
     assert default_pool_cap(2) == 40
-    assert default_pool_cap(3) == 16
+    assert default_pool_cap(3) == 12
+    assert default_pool_cap(4) == 6
+    for dim in range(2, 7):
+        m = default_pool_cap(dim)
+        worst_family = 2 * sum(math.comb(m, j) for j in range(1, dim + 1))
+        assert class_cardinality(worst_family, dim) <= DEFAULT_HYPOTHESIS_BUDGET

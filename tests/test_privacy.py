@@ -106,27 +106,28 @@ def test_neutral_replacement_gives_zero_ratio():
 
 
 def test_verify_dp_passes_and_matches_direct_recomputation():
-    ds = label_determined(1, 8, seed=3)
-    report = verify_dp(ds, [0.5], trials=12, seed=7)
-    assert report.passed
-    assert report.max_log_ratio <= 0.5 + 1e-9
-    # independent recomputation: rebuild each neighbor dataset from scratch
-    # and evaluate both distributions with the plain direct formula
-    fam = construct_halfspace_family(partition(ds)[0], 1)
-    base = all_mistake_counts(fam, partition(ds)[2], 1)
-    rng = np.random.default_rng(7)
-    priv_idx = np.flatnonzero(ds.p)
-    for t, trial in enumerate(report.trials):
-        idx = int(rng.choice(priv_idx))
-        x_new = rng.standard_normal(1)
-        y_new = int(rng.integers(0, 2))
-        assert trial.index == idx
-        nb = replace_entry(ds, idx, x_new, y_new)
-        nb_counts = all_mistake_counts(fam, partition(nb)[2], 1)
-        p0 = mechanism_probs_direct(base, 0.5)
-        p1 = mechanism_probs_direct(nb_counts, 0.5)
-        direct = float(np.max(np.abs(np.log(p0) - np.log(p1))))
-        assert trial.max_log_ratio == pytest.approx(direct, abs=1e-10)
+    for dim, n, seed in [(1, 8, 3), (2, 10, 4)]:
+        ds = label_determined(dim, n, seed=seed)
+        report = verify_dp(ds, [0.5], trials=12, seed=7)
+        assert report.passed
+        assert report.max_log_ratio <= 0.5 + 1e-9
+        # independent recomputation: rebuild each neighbor dataset from
+        # scratch and evaluate both distributions with the plain direct formula
+        fam = construct_halfspace_family(partition(ds)[0], dim)
+        base = all_mistake_counts(fam, partition(ds)[2], dim)
+        rng = np.random.default_rng(7)
+        priv_idx = np.flatnonzero(ds.p)
+        for t, trial in enumerate(report.trials):
+            idx = int(rng.choice(priv_idx))
+            x_new = rng.standard_normal(dim)
+            y_new = int(rng.integers(0, 2))
+            assert trial.index == idx
+            nb = replace_entry(ds, idx, x_new, y_new)
+            nb_counts = all_mistake_counts(fam, partition(nb)[2], dim)
+            p0 = mechanism_probs_direct(base, 0.5)
+            p1 = mechanism_probs_direct(nb_counts, 0.5)
+            direct = float(np.max(np.abs(np.log(p0) - np.log(p1))))
+            assert trial.max_log_ratio == pytest.approx(direct, abs=1e-10)
 
 
 def test_verify_dp_pointwise_bound_full_outcome_space():
