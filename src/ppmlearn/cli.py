@@ -88,7 +88,10 @@ def _sweep_config_from_dict(d: dict, out_dir=None) -> SweepConfig:
         out_dir=out_dir if out_dir is not None else d.get("out_dir"))
 
 
-def _hypothesis_json(result) -> dict:
+def _hypothesis_json(result, curator_stats: bool = False) -> dict:
+    """The selected hypothesis and release-safe facts about its class.
+    ``curator_stats`` adds the mistake counts, which come from the private
+    data without noise and so are not covered by the epsilon-DP guarantee."""
     g, family, diag = result
     members = None if g.is_empty_region else list(g.members)
     halfspaces = []
@@ -98,20 +101,22 @@ def _hypothesis_json(result) -> dict:
             halfspaces.append({"normal": [float(v) for v in h.normal],
                                "offset": h.offset,
                                "source": list(h.source) if h.source else None})
-    return {
+    payload = {
         "empty_region": g.is_empty_region,
         "members": members,
         "member_halfspaces": halfspaces,
         "aff_dim": diag.aff_dim,
         "family_size": diag.family_size,
         "class_size": diag.class_size,
-        "empirical_mistakes": diag.selected_mistakes,
         "n": diag.n,
-        "empirical_error": diag.error.as_float(),
-        "min_mistakes_in_class": diag.min_mistakes,
         "epsilon": diag.epsilon,
         "notes": list(diag.notes),
     }
+    if curator_stats:
+        payload.update(empirical_mistakes=diag.selected_mistakes,
+                       empirical_error=diag.error.as_float(),
+                       min_mistakes_in_class=diag.min_mistakes)
+    return payload
 
 
 def cmd_gen(args) -> int:
@@ -139,7 +144,7 @@ def cmd_learn(args) -> int:
     result = learn_half(dataset, args.epsilon,
                         pool_cap=_cli_pool_cap(args, dataset.dim, True),
                         seed=args.seed, budget=args.budget)
-    payload = _hypothesis_json(result)
+    payload = _hypothesis_json(result, args.curator_stats)
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:
@@ -274,6 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", parents=[shared], help="run the private learner")
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--curator-stats", dest="curator_stats", action="store_true",
+                   help="also print the mistake counts, which are computed "
+                        "from private data without noise")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("erm", parents=[shared], help="exact ERM halfspace")

@@ -143,11 +143,27 @@ def _record_row(r: TrialRecord) -> list[str]:
             str(r.erm_mistakes), repr(r.erm_emp_err), r.config_hash]
 
 
+def _write_atomic(path, write, newline=None) -> None:
+    """Write a text file through a temp file in the same directory, then
+    rename it over ``path``: a failed write leaves the previous file."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_records_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def write(fh):
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in records:
             fh.write(",".join(_record_row(r)) + "\n")
+
+    _write_atomic(path, write, newline="")
 
 
 def read_records_csv(path) -> list[TrialRecord]:
@@ -179,8 +195,7 @@ def write_records_json(records, config: SweepConfig, path) -> None:
         "records": [dict(zip(CSV_COLUMNS, _record_row(r))) | {"wall_time": r.wall_time}
                     for r in records],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_atomic(path, lambda fh: json.dump(payload, fh, indent=2))
 
 
 def _trial_seeds(config_seed: int, cell_idx: int, trial: int) -> tuple[int, int]:

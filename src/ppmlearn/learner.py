@@ -315,60 +315,65 @@ def unrank_hypothesis(rank: int, family_size: int, dim: int) -> IntersectionHypo
 # ---------------------------------------------------------------------------
 
 
-def _candidate_halfspaces(X: np.ndarray, dim: int):
-    """ERM candidate rows (W, w0): supported hyperplanes of every point
-    subset of size <= d in four variants (both orientations, boundary
-    nudged in/out), plus the two constant classifiers."""
-    n = X.shape[0]
-    scale = 1.0 + float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
-    delta = 4.0 * MEM_TOL * scale
-    rows_w: list[np.ndarray] = []
-    rows_b: list[np.ndarray] = []
-
-    def add_variants(W, w0):
-        rows_w.extend([W, W, -W, -W])
-        rows_b.extend([w0 - delta, w0 + delta, -w0 - delta, -w0 + delta])
-
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    proj = X @ e1
-    # constant classifiers: everything inside (all label 1) / nothing inside
-    rows_w.extend([e1[None, :], e1[None, :]])
-    rows_b.extend([np.array([float(proj.min()) - scale]),
-                   np.array([float(proj.max()) + scale])])
-
-    if dim == 1:
-        t = X[:, 0]
-        add_variants(np.ones((n, 1)), t)
-        return np.vstack(rows_w), np.concatenate(rows_b)
-
-    if dim == 2:
-        # singletons: deterministic rule gives normal e1 through the point
-        add_variants(np.tile(e1, (n, 1)), X[:, 0].copy())
-        ii, jj = np.triu_indices(n, k=1)
-        diff = X[jj] - X[ii]
-        nrm = np.linalg.norm(diff, axis=1)
-        ok = nrm > RANK_TOL * scale
-        if np.any(ok):
-            d_ok = diff[ok] / nrm[ok, None]
-            W = np.stack([-d_ok[:, 1], d_ok[:, 0]], axis=1)
-            lead = np.where(np.abs(W[:, 0]) > 1e-12, W[:, 0], W[:, 1])
-            W *= np.sign(lead)[:, None]
-            w0 = np.einsum("ij,ij->i", W, X[ii[ok]])
-            add_variants(W, w0)
-        if np.any(~ok):
-            # coincident pairs degrade to the single-point rule
-            add_variants(np.tile(e1, (int(np.sum(~ok)), 1)), X[ii[~ok], 0])
-        return np.vstack(rows_w), np.concatenate(rows_b)
-
-    for size in range(1, dim + 1):
-        for combo in itertools.combinations(range(n), size):
-            h, _ = supporting_halfspace_pair(X[list(combo)], dim)
-            add_variants(h.normal[None, :], np.array([h.offset]))
-    return np.vstack(rows_w), np.concatenate(rows_b)
+# The candidates are the two constant classifiers and, for every point
+# subset of size <= d, its supported hyperplane in four variants: both
+# orientations, and the boundary nudged by -delta and by +delta. Below
+# d = 3 the variants are counted from the sides the points lie on, after
+# one sort (d = 1) or one angular sort per pivot point (d = 2). Rows whose
+# counts the sides cannot settle are scored against every point instead:
+# the constants, the d = 2 singletons, and every hyperplane with another
+# point inside that point's margin.
 
 
-def _halfspace_mistakes(W, w0, X, y, chunk_rows: int = 8192) -> np.ndarray:
+def _variants(W, w0, delta):
+    """The four variants of each hyperplane row, variant-major:
+    (w, w0 - delta), (w, w0 + delta), (-w, -w0 - delta), (-w, -w0 + delta)."""
+    return (np.vstack([W, W, -W, -W]),
+            np.concatenate([w0 - delta, w0 + delta, -w0 - delta, -w0 + delta]))
+
+
+def _variant_rows(W, w0, variant, delta):
+    """Variant ``variant[k]`` of hyperplane row k."""
+    W4, b4 = _variants(W, w0, delta)
+    pick = variant * w0.size + np.arange(w0.size)
+    return W4[pick], b4[pick]
+
+
+def _variant_mistakes(inside, off, on0, on1):
+    """Mistakes of the four variants of hyperplanes. ``inside`` counts the
+    mistakes among the ``off`` points off a hyperplane when its positive
+    side is inside: 0-labels on that side, 1-labels on the other. ``on0``
+    and ``on1`` count the labels on it, which only variants 0 and 2 hold."""
+    return np.stack([inside + on0, inside + on1,
+                     off - inside + on0, off - inside + on1])
+
+
+def _keys(*columns):
+    """Candidate-order keys: integer columns compared lexicographically,
+    which place each candidate where the enumeration lists it."""
+    return np.column_stack(np.broadcast_arrays(*columns)).astype(np.int64)
+
+
+def _margins(X, delta):
+    """Twice the distance from a hyperplane within which a point's side
+    does not settle its membership in the variants (delta plus the point's
+    membership tolerance); the factor covers float error."""
+    return 2.0 * (delta + MEM_TOL * (1.0 + np.linalg.norm(X, axis=1)))
+
+
+def _pair_hyperplanes(X, ii, jj):
+    """Lines through X[i] and X[j]: unit normal with a positive leading
+    component, and offset."""
+    diff = X[jj] - X[ii]
+    nrm = np.linalg.norm(diff, axis=1)
+    d = diff / nrm[:, None]
+    W = np.stack([-d[:, 1], d[:, 0]], axis=1)
+    lead = np.where(np.abs(W[:, 0]) > 1e-12, W[:, 0], W[:, 1])
+    W *= np.sign(lead)[:, None]
+    return W, np.einsum("ij,ij->i", W, X[ii])
+
+
+def _halfspace_mistakes(W, w0, X, y) -> np.ndarray:
     """Mistake counts of halfspace classifiers (rows of W, w0) on (X, y).
 
     A candidate errs on a 0-label inside it and a 1-label outside it. The
@@ -382,7 +387,7 @@ def _halfspace_mistakes(W, w0, X, y, chunk_rows: int = 8192) -> np.ndarray:
     Q1 = np.column_stack([X[mask1], tol[mask1]]).T.copy()
     n1 = Q1.shape[1]
     C = W.shape[0]
-    chunk = min(chunk_rows, C)
+    chunk = max(1, min(C, _CHUNK_ENTRIES // max(X.shape[0], 1)))
     Waug = np.column_stack([W, np.ones(C)])
     out = np.empty(C, dtype=np.int64)
     buf0 = np.empty((chunk, Q0.shape[1]))
@@ -407,20 +412,209 @@ def _halfspace_mistakes(W, w0, X, y, chunk_rows: int = 8192) -> np.ndarray:
     return out
 
 
+class _Minimizers:
+    """Running minimum of the candidates' mistakes and the candidates that
+    attain it, each with its candidate-order key."""
+
+    def __init__(self, X, y):
+        self.X, self.y = X, y
+        self.count = None
+        self.tied = []
+
+    def offer(self, mistakes, rows):
+        """``rows(mask)`` builds (W, w0, keys) of the masked candidates."""
+        if mistakes.size == 0:
+            return
+        low = int(mistakes.min())
+        if self.count is not None and low > self.count:
+            return
+        if self.count is None or low < self.count:
+            self.count, self.tied = low, []
+        self.tied.append(rows(mistakes == low))
+
+    def score(self, W, w0, keys):
+        """Offer candidate rows scored against every point."""
+        self.offer(_halfspace_mistakes(W, w0, self.X, self.y),
+                   lambda mask: (W[mask], w0[mask], keys[mask]))
+
+    def pick(self):
+        """The tied row with the least (w, w0) in lexicographic order;
+        equal rows go to the first in candidate order."""
+        W, w0, keys = (np.concatenate(parts) for parts in zip(*self.tied))
+        k = int(np.lexsort((*keys.T[::-1], w0, *W.T[::-1]))[0])
+        return Halfspace(W[k], float(w0[k])), self.count
+
+
+def _erm_thresholds(best: _Minimizers, delta: float) -> None:
+    """d = 1: the variants of every threshold x_i, counted after one sort.
+    A threshold is crowded when a sorted neighbour lies within that
+    neighbour's margin of it; a farther point then lies outside its own
+    margin too, since margins grow by less than the distance."""
+    x = best.X[:, 0]
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], best.y[order].astype(np.int64)
+    margin = _margins(best.X, delta)[order]
+    gap = np.diff(xs)
+    crowded = np.zeros(n, dtype=bool)
+    crowded[:-1] |= gap <= margin[1:]
+    crowded[1:] |= gap <= margin[:-1]
+    ones = np.concatenate([[0], np.cumsum(ys)])
+    p = np.arange(n)
+    below1, above1 = ones[:-1], ones[-1] - ones[1:]
+    counts = _variant_mistakes((n - 1 - p - above1) + below1, n - 1, 1 - ys, ys)
+    clean = order[~crowded]
+
+    def rows(mask):
+        variant, at = np.nonzero(mask.reshape(4, -1))
+        i = clean[at]
+        W, w0 = _variant_rows(np.ones((i.size, 1)), x[i], variant, delta)
+        return W, w0, _keys(1, variant, i)
+
+    best.offer(counts[:, ~crowded].ravel(), rows)
+    i = order[crowded]
+    best.score(*_variants(np.ones((i.size, 1)), x[i], delta),
+               _keys(1, np.repeat(np.arange(4), i.size), np.tile(i, 4)))
+
+
+def _erm_lines(best: _Minimizers, scale: float, delta: float) -> None:
+    """d = 2: the variants of the line through every pair X[i], X[j], i < j.
+
+    Around each pivot i the other points are sorted by angle. The points
+    strictly left of the ray from X[i] through X[j] are those in the half
+    turn after it, counted on the doubled circle. Point k's side settles
+    its membership unless it lies within half its margin of the line
+    (i, j), which needs the line's direction within margin_k / r_k radians
+    of X[k]'s direction or its opposite, r_k = |X[k] - X[i]|. Lines that
+    such a window reaches are crowded. A point within twice its margin of
+    the pivot crowds every line through the pivot. Coincident pairs are
+    skipped: they repeat the singleton rows. Pivots run in row chunks, so
+    memory stays O(chunk * n).
+    """
+    X = best.X
+    y = best.y.astype(np.int64)
+    n = X.shape[0]
+    m = n - 1
+    margin = _margins(X, delta)
+    cols = np.arange(m)
+    step = max(1, _CHUNK_ENTRIES // (8 * n))
+    for lo in range(0, m, step):
+        piv = np.arange(lo, min(m, lo + step))
+        c = piv.size
+        others = cols + (cols >= piv[:, None])
+        theta = np.arctan2(X[others, 1] - X[piv, 1, None], X[others, 0] - X[piv, 0, None])
+        order = np.argsort(theta, axis=1)
+        theta = np.take_along_axis(theta, order, axis=1)
+        k = np.take_along_axis(others, order, axis=1)
+        dx = X[k, 0] - X[piv, 0, None]
+        dy = X[k, 1] - X[piv, 1, None]
+        r = np.sqrt(dx * dx + dy * dy)  # the norm of X[k] - X[i], bit for bit
+
+        # every pivot's doubled circle in one sorted flat array: row shifts
+        # of 16 keep the rows apart, and the slack covers their rounding
+        circle = np.concatenate([theta, theta + 2 * np.pi], axis=1)
+        shift = 16.0 * np.arange(c)[:, None]
+        flat = (circle + shift).ravel()
+        slack = 1e-12 + 8 * np.spacing(16.0 * c + 4 * np.pi)
+        opposite = theta + np.pi
+        far = np.searchsorted(flat, (opposite + shift).ravel()).reshape(c, m)
+        far -= 2 * m * np.arange(c)[:, None]
+
+        # angular windows; only the few that reach another point are placed
+        with np.errstate(divide="ignore"):
+            w = margin[k] / r
+        crowded = np.repeat(np.any(w >= 0.5, axis=1)[:, None], m, axis=1)
+        w += slack
+        gap = np.diff(circle[:, :m + 1], axis=1)
+        own = (np.minimum(gap, np.roll(gap, 1, axis=1)) <= w) & ~crowded
+        opp = (np.minimum(np.take_along_axis(circle, far, axis=1) - opposite,
+                          opposite - np.take_along_axis(circle, far - 1, axis=1))
+               <= w) & ~crowded
+        if own.any() or opp.any():
+            start = np.concatenate([theta[own] - w[own], opposite[opp] - w[opp]])
+            start[start < -np.pi] += 2 * np.pi
+            start[start >= np.pi] -= 2 * np.pi
+            start += np.concatenate([shift[:, 0][np.nonzero(own)[0]],
+                                     shift[:, 0][np.nonzero(opp)[0]]])
+            width = 2 * np.concatenate([w[own], w[opp]])
+            cover = np.cumsum(
+                np.bincount(np.searchsorted(flat, start), minlength=flat.size + 1)
+                - np.bincount(np.searchsorted(flat, start + width, side="right"),
+                              minlength=flat.size + 1))[:-1].reshape(c, 2 * m)
+            crowded |= cover[:, :m] + cover[:, m:] - own > 0
+
+        # label counts: strictly left of each ray is the half turn after it
+        lab = y[k]
+        ones = np.zeros((c, 2 * m + 1), dtype=np.int64)
+        np.cumsum(np.concatenate([lab, lab], axis=1), axis=1, out=ones[:, 1:])
+        left1 = np.take_along_axis(ones, far, axis=1) - ones[:, 1:m + 1]
+        # mistakes off the line with its left side inside: the 0-labels
+        # left of it plus the 1-labels right of it
+        a = (far - cols - 1) - 2 * left1 + ones[:, m:m + 1] - lab
+
+        line = (k > piv[:, None]) & (r > RANK_TOL * scale)
+        ii = np.broadcast_to(piv[:, None], (c, m))
+        clean = line & ~crowded
+        ci, cj, d = ii[clean], k[clean], dy[clean] / r[clean]
+        # the normal is the left normal of X[j] - X[i], negated when its
+        # leading component is negative
+        flip = np.where(np.abs(d) > 1e-12, -d, dx[clean] / r[clean]) < 0
+        a = np.where(flip, n - 2 - a[clean], a[clean])
+        on1 = lab[clean] + y[ci]
+        counts = _variant_mistakes(a, n - 2, 2 - on1, on1)
+
+        def rows(mask):
+            variant, at = np.nonzero(mask.reshape(4, -1))
+            W, w0 = _pair_hyperplanes(X, ci[at], cj[at])
+            W, w0 = _variant_rows(W, w0, variant, delta)
+            return W, w0, _keys(2, variant, ci[at] * n + cj[at])
+
+        best.offer(counts.ravel(), rows)
+        ai, aj = ii[line & crowded], k[line & crowded]
+        W, w0 = _pair_hyperplanes(X, ai, aj)
+        best.score(*_variants(W, w0, delta),
+                   _keys(2, np.repeat(np.arange(4), ai.size), np.tile(ai * n + aj, 4)))
+
+
 def erm_halfspace(S_prime: LabeledSample, dim: int):
-    """Exact empirical-risk-minimizing halfspace over the support-realized
-    candidate set; ties broken by lexicographic (w, w0)."""
+    """Exact empirical-risk-minimizing halfspace over the candidate set
+    above; ties broken by lexicographic (w, w0).
+
+    O(n log n) at d = 1 and O(n^2 log n) at d = 2, plus O(n) per crowded
+    candidate; at d >= 3 every candidate is scored against every point.
+    """
     if S_prime.n == 0:
         raise EmptySampleError("empty sample")
-    W, w0 = _candidate_halfspaces(S_prime.X, dim)
-    mistakes = _halfspace_mistakes(W, w0, S_prime.X, S_prime.y)
-    best = int(mistakes.min())
-    ties = np.flatnonzero(mistakes == best)
-    R = np.column_stack([W[ties], w0[ties]])
-    keys = tuple(R[:, c] for c in reversed(range(R.shape[1])))
-    pick = ties[np.lexsort(keys)[0]]
-    h = Halfspace(W[pick], float(w0[pick]))
-    return h, ErrorCount(best, S_prime.n)
+    X = S_prime.X
+    n = X.shape[0]
+    scale = 1.0 + float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
+    delta = 4.0 * MEM_TOL * scale
+    best = _Minimizers(X, S_prime.y)
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    proj = X @ e1
+    # constant classifiers: everything inside (all label 1) / nothing inside
+    best.score(np.vstack([e1, e1]),
+               np.array([float(proj.min()) - scale, float(proj.max()) + scale]),
+               _keys(0, 0, [0, 1]))
+    if dim == 1:
+        _erm_thresholds(best, delta)
+    elif dim == 2:
+        # singletons: deterministic rule gives normal e1 through the point
+        best.score(*_variants(np.tile(e1, (n, 1)), X[:, 0].copy(), delta),
+                   _keys(1, np.repeat(np.arange(4), n), np.tile(np.arange(n), 4)))
+        _erm_lines(best, scale, delta)
+    else:
+        hs = [supporting_halfspace_pair(X[list(combo)], dim)[0]
+              for size in range(1, dim + 1)
+              for combo in itertools.combinations(range(n), size)]
+        W = np.array([h.normal for h in hs])
+        w0 = np.array([h.offset for h in hs])
+        subset = np.arange(len(hs))
+        best.score(*_variants(W, w0, delta),
+                   _keys(1, np.tile(subset, 4), np.repeat(np.arange(4), subset.size)))
+    h, count = best.pick()
+    return h, ErrorCount(count, S_prime.n)
 
 
 # ---------------------------------------------------------------------------

@@ -31,16 +31,21 @@ class IllegalNeighborError(ValueError):
     pass
 
 
+def _check_private(dataset: PPMDataset, index: int) -> None:
+    """Refuse an index outside the dataset or naming a public entry."""
+    if not 0 <= index < dataset.n:
+        raise IndexError(f"index {index} outside dataset of size {dataset.n}")
+    if not dataset.p[index]:
+        raise IllegalNeighborError("illegal neighbor: public entry")
+
+
 def replace_entry(dataset: PPMDataset, index: int, x, y: int) -> PPMDataset:
     """Neighboring dataset: entry ``index`` replaced by (x, y), same size.
 
     Only private entries may be replaced; the guarantee under audit is
     differential privacy with respect to the private portion only.
     """
-    if not 0 <= index < dataset.n:
-        raise IndexError(f"index {index} outside dataset of size {dataset.n}")
-    if not dataset.p[index]:
-        raise IllegalNeighborError("illegal neighbor: public entry")
+    _check_private(dataset, index)
     X = dataset.X.copy()
     ylab = dataset.y.copy()
     X[index] = np.asarray(x, dtype=float)
@@ -83,8 +88,8 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     exact selection distributions over the shared class and records the
     maximum pointwise |log P(i) - log P'(i)|. Public entries are never
     touched: passing a public index in ``indices`` is refused, since the
-    guarantee holds only with respect to private entries. PASS means every
-    ratio is at most epsilon + 1e-9.
+    guarantee holds only with respect to private entries, and so is an
+    index outside 0..n-1. PASS means every ratio is at most epsilon + 1e-9.
     """
     epsilons = tuple(float(e) for e in (epsilon if np.iterable(epsilon) else [epsilon]))
     if any(e <= 0 for e in epsilons):
@@ -95,8 +100,7 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     if indices is not None:
         indices = [int(i) for i in indices]
         for i in indices:
-            if not dataset.p[i]:
-                raise IllegalNeighborError("illegal neighbor: public entry")
+            _check_private(dataset, i)
     elif priv_idx.size == 0:
         raise IllegalNeighborError("dataset has no private entries to perturb")
 

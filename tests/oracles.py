@@ -1,9 +1,10 @@
 """Independent reference implementations used to check library results.
 
 Everything here is deliberately written a different way from the library:
-sort-and-scan for 1-d ERM, an orientation-predicate hull, vertex
-enumeration for 2-d feasibility, elimination-based rank, and the plain
-exponential-mechanism formula without log-space shifting.
+sort-and-scan for 1-d ERM, brute-force ERM that scores every candidate
+against every point, an orientation-predicate hull, vertex enumeration for
+2-d feasibility, elimination-based rank, and the plain exponential-mechanism
+formula without log-space shifting.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ppmlearn.geometry import MEM_TOL, RANK_TOL
 
 
 def erm_1d_mistakes(xs, ys) -> int:
@@ -39,6 +42,65 @@ def erm_1d_mistakes(xs, ys) -> int:
         # "left" classifier: label 1 iff x <= threshold
         best = min(best, zeros_left + ones_right)
     return int(best)
+
+
+def erm_candidates(X, dim):
+    """Every ERM candidate row (W, w0) for d <= 2: the two constant
+    classifiers, then the supported hyperplane of every point subset of
+    size <= d in four variants (both orientations, boundary nudged in and
+    out). A coincident pair degrades to the singleton rule."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    scale = 1.0 + float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
+    delta = 4.0 * MEM_TOL * scale
+    rows_w, rows_b = [], []
+
+    def add_variants(W, w0):
+        rows_w.extend([W, W, -W, -W])
+        rows_b.extend([w0 - delta, w0 + delta, -w0 - delta, -w0 + delta])
+
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    proj = X @ e1
+    rows_w.extend([e1[None, :], e1[None, :]])
+    rows_b.extend([np.array([float(proj.min()) - scale]),
+                   np.array([float(proj.max()) + scale])])
+    if dim == 1:
+        add_variants(np.ones((n, 1)), X[:, 0])
+        return np.vstack(rows_w), np.concatenate(rows_b)
+    if dim != 2:
+        raise ValueError("brute-force candidates cover d <= 2")
+    add_variants(np.tile(e1, (n, 1)), X[:, 0].copy())
+    ii, jj = np.triu_indices(n, k=1)
+    diff = X[jj] - X[ii]
+    nrm = np.linalg.norm(diff, axis=1)
+    ok = nrm > RANK_TOL * scale
+    if np.any(ok):
+        d_ok = diff[ok] / nrm[ok, None]
+        W = np.stack([-d_ok[:, 1], d_ok[:, 0]], axis=1)
+        lead = np.where(np.abs(W[:, 0]) > 1e-12, W[:, 0], W[:, 1])
+        W *= np.sign(lead)[:, None]
+        add_variants(W, np.einsum("ij,ij->i", W, X[ii[ok]]))
+    if np.any(~ok):
+        add_variants(np.tile(e1, (int(np.sum(~ok)), 1)), X[ii[~ok], 0])
+    return np.vstack(rows_w), np.concatenate(rows_b)
+
+
+def erm_brute_force(X, y, dim):
+    """(normal, offset, mistakes) of the ERM candidate with the fewest
+    mistakes, each candidate scored against every point; ties go to the
+    least (w, w0) in lexicographic order, then to the first row."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y).astype(bool)
+    W, w0 = erm_candidates(X, dim)
+    tol = MEM_TOL * (1.0 + np.linalg.norm(X, axis=1))
+    inside = X @ W.T + tol[:, None] >= w0          # (n, candidates)
+    mistakes = np.count_nonzero(inside != y[:, None], axis=0)
+    best = int(mistakes.min())
+    ties = np.flatnonzero(mistakes == best)
+    keys = (w0[ties],) + tuple(W[ties, c] for c in reversed(range(dim)))
+    pick = ties[np.lexsort(keys)[0]]
+    return W[pick], float(w0[pick]), best
 
 
 def convex_hull_2d(points) -> list[int]:

@@ -22,6 +22,15 @@ def test_gen_learn_erm_chain(tmp_path, capsys):
     payload = json.loads("{" + captured.split("{", 1)[1])
     assert payload["n"] == 50
     assert (tmp_path / "learn.json").exists()
+    curator_only = {"empirical_mistakes", "empirical_error", "min_mistakes_in_class"}
+    assert not curator_only & payload.keys()
+    assert run_cli(["learn", "--data", data, "--epsilon", "1.0",
+                    "--seed", "1", "--curator-stats"]) == 0
+    captured = capsys.readouterr().out
+    stats = json.loads("{" + captured.split("{", 1)[1])
+    assert curator_only <= stats.keys()
+    assert stats["min_mistakes_in_class"] <= stats["empirical_mistakes"] <= 50
+    assert stats["empirical_error"] == stats["empirical_mistakes"] / 50
     assert run_cli(["erm", "--data", data]) == 0
     erm_out = json.loads(capsys.readouterr().out)
     assert erm_out["n"] == 50

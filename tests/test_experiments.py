@@ -13,6 +13,7 @@ from ppmlearn.experiments import (
     run_trial,
     summarize,
     write_records_csv,
+    write_records_json,
 )
 from ppmlearn.geometry import Halfspace
 from ppmlearn.learner import learn_half
@@ -155,6 +156,38 @@ def test_records_json_carries_config_and_wall_time(tmp_path):
     assert payload["config_hash"] == cfg.config_hash()
     assert payload["config"]["n_grid"] == [40]
     assert payload["records"][0]["wall_time"] > 0
+
+
+def test_writers_keep_the_previous_file_when_a_write_fails(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, n_grid=(30,), trials=2)
+    records = run_sweep(cfg)
+    files = {name: (tmp_path / name).read_bytes()
+             for name in ("records.csv", "records.json")}
+    real_row = exp._record_row
+    rows = []
+
+    def row_then_fail(r):
+        if rows:
+            raise OSError("disk full")
+        rows.append(r)
+        return real_row(r)
+
+    def partial_dump(obj, fh, **kwargs):
+        fh.write('{"config": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(exp.json, "dump", partial_dump)
+    with pytest.raises(OSError, match="disk full"):
+        write_records_json(records, cfg, tmp_path / "records.json")
+    monkeypatch.undo()
+    monkeypatch.setattr(exp, "_record_row", row_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_records_csv(records, tmp_path / "records.csv")
+    assert rows  # the CSV writer failed after its first row
+    for name, data in files.items():
+        assert (tmp_path / name).read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "journal.jsonl", "records.csv", "records.json"]
 
 
 def test_summarize_empty_and_single_cell(tmp_path):

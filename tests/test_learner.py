@@ -29,7 +29,7 @@ from ppmlearn.model import EmptySampleError, LabeledSample, PPMDataset, empirica
 from ppmlearn.data import GeneratorSpec, generate
 from ppmlearn.privacy import mechanism_distribution
 
-from oracles import erm_1d_mistakes
+from oracles import erm_1d_mistakes, erm_brute_force
 
 
 def labeled(X, y):
@@ -293,6 +293,105 @@ def test_erm_d1_matches_sort_and_scan_oracle():
 def test_erm_empty_sample():
     with pytest.raises(EmptySampleError):
         erm_halfspace(labeled(np.zeros((0, 1)), []), 1)
+
+
+def assert_erm_matches_brute_force(X, y, dim):
+    """Same mistakes and a bit-identical halfspace as scoring every
+    candidate against every point."""
+    X = np.asarray(X, dtype=float)
+    h, err = erm_halfspace(labeled(X, y), dim)
+    W, w0, mistakes = erm_brute_force(X, y, dim)
+    ref = Halfspace(W, w0)
+    assert err.mistakes == mistakes
+    assert h.normal.tobytes() == ref.normal.tobytes()  # signed zeros too
+    assert h.offset.hex() == ref.offset.hex()
+    return mistakes
+
+
+def near_line(rng, a, b, offset):
+    """A point on the line through a and b, moved ``offset`` off it."""
+    normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+    return a + rng.uniform(-1.0, 2.0) * (b - a) + offset * normal
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_erm_matches_brute_force_on_random_samples(dim):
+    rng = np.random.default_rng(40 + dim)
+    for n in range(1, 81):
+        X = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
+        y = rng.integers(0, 2, n)
+        mistakes = assert_erm_matches_brute_force(X, y, dim)
+        if dim == 1:
+            assert mistakes == erm_1d_mistakes(X[:, 0], y)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_erm_matches_brute_force_on_integer_grids(dim):
+    # duplicates, collinear triples and axis-parallel lines
+    rng = np.random.default_rng(43 + dim)
+    for trial in range(60):
+        n = int(rng.integers(2, 50))
+        X = rng.integers(-3, 4, (n, dim)) * (0.25, 1.0, 1000.0)[trial % 3]
+        y = rng.integers(0, 2, n)
+        mistakes = assert_erm_matches_brute_force(X, y, dim)
+        if dim == 1:
+            assert mistakes == erm_1d_mistakes(X[:, 0], y)
+
+
+def test_erm_tie_break_sees_signed_zeros():
+    # labels split two grid rows, so the best candidates are horizontal
+    # lines whose normals differ only in the sign of a zero component
+    rng = np.random.default_rng(49)
+    for trial in range(10):
+        X = np.array([(a, b) for a in range(-2, 3) for b in (0, 1)], dtype=float)
+        X = X[rng.permutation(len(X))]
+        h, err = erm_halfspace(labeled(X, X[:, 1]), 2)
+        assert err.mistakes == 0 and h.normal[0] == 0.0
+        assert_erm_matches_brute_force(X, X[:, 1], 2)
+
+
+def test_erm_matches_brute_force_near_collinear():
+    # third points 1e-11 to 1e-7 off a line through two others (d = 1:
+    # points that far apart), around 1e-9 mostly: inside the +-delta band,
+    # where a point's side does not settle its membership, and across the
+    # band's edges
+    rng = np.random.default_rng(46)
+    for trial in range(60):
+        n = int(rng.integers(3, 40))
+        X = rng.standard_normal((n, 2)) * 2.0
+        for _ in range(n // 2):
+            i, j, k = rng.choice(n, 3, replace=False)
+            offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11, -7)
+            X[k] = near_line(rng, X[i], X[j], offset)
+        y = rng.integers(0, 2, n)
+        assert_erm_matches_brute_force(X, y, 2)
+        x = X[:, :1].copy()
+        m = n - n // 2
+        apart = rng.choice([-1.0, 1.0], (m, 1)) * 10.0 ** rng.uniform(-11, -7, (m, 1))
+        x[n // 2:] = x[:m] + apart
+        assert_erm_matches_brute_force(x, y, 1)
+
+
+def test_erm_matches_brute_force_near_coincident_pairs():
+    # pairs closer than RANK_TOL * scale are no line and fall back to the
+    # singleton rule; slightly wider pairs are lines with a shaky normal
+    rng = np.random.default_rng(47)
+    for trial in range(60):
+        n = int(rng.integers(2, 40))
+        X = rng.standard_normal((n, 2))
+        k = max(1, n // 3)
+        gap = 10.0 ** rng.uniform(-13, -8, (k, 1))
+        X[:k] = X[n - k:] + gap * rng.standard_normal((k, 2))
+        assert_erm_matches_brute_force(X, rng.integers(0, 2, n), 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_erm_matches_brute_force_on_single_label_samples(dim):
+    rng = np.random.default_rng(48 + dim)
+    for n in (1, 2, 3, 7, 30):
+        X = rng.standard_normal((n, dim))
+        for label in (0, 1):
+            assert assert_erm_matches_brute_force(X, np.full(n, label), dim) == 0
 
 
 # --- best_in_class -------------------------------------------------------------------

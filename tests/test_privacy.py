@@ -145,6 +145,16 @@ def test_verify_dp_refuses_public_indices():
         verify_dp(ds, 1.0, trials=2, indices=[pub])
 
 
+def test_verify_dp_refuses_indices_outside_the_dataset():
+    # the last entry is private, so -1 would otherwise wrap to it
+    y = np.array([0, 1] * 6)
+    ds = PPMDataset(dim=1, X=np.random.default_rng(11).standard_normal((12, 1)),
+                    y=y, p=y)
+    for bad in (-1, ds.n):
+        with pytest.raises(IndexError, match=f"index {bad} outside dataset of size 12"):
+            verify_dp(ds, 1.0, trials=2, indices=[bad])
+
+
 def test_verify_dp_requires_private_entries():
     rng = np.random.default_rng(8)
     ds = PPMDataset(dim=1, X=rng.standard_normal((6, 1)),
