@@ -28,7 +28,7 @@ from .learner import (
     erm_halfspace,
     learn_half,
 )
-from .model import partition
+from .model import ErrorCount, curator_only_fields, partition
 from .privacy import verify_dp
 from .experiments import (
     SweepConfig,
@@ -88,10 +88,25 @@ def _sweep_config_from_dict(d: dict, out_dir=None) -> SweepConfig:
         out_dir=out_dir if out_dir is not None else d.get("out_dir"))
 
 
+# JSON key of each reported diagnostic -> (LearnDiagnostics field, conversion)
+_DIAGNOSTIC_KEYS = {
+    "aff_dim": ("aff_dim", int),
+    "family_size": ("family_size", int),
+    "class_size": ("class_size", int),
+    "n": ("n", int),
+    "epsilon": ("epsilon", float),
+    "notes": ("notes", list),
+    "empirical_mistakes": ("selected_mistakes", int),
+    "empirical_error": ("error", ErrorCount.as_float),
+    "min_mistakes_in_class": ("min_mistakes", int),
+}
+
+
 def _hypothesis_json(result, curator_stats: bool = False) -> dict:
     """The selected hypothesis and release-safe facts about its class.
-    ``curator_stats`` adds the mistake counts, which come from the private
-    data without noise and so are not covered by the epsilon-DP guarantee."""
+    ``curator_stats`` adds the diagnostics labelled curator-only, such as
+    the mistake counts, which come from the private data without noise and
+    so are not covered by the epsilon-DP guarantee."""
     g, family, diag = result
     members = None if g.is_empty_region else list(g.members)
     halfspaces = []
@@ -105,17 +120,11 @@ def _hypothesis_json(result, curator_stats: bool = False) -> dict:
         "empty_region": g.is_empty_region,
         "members": members,
         "member_halfspaces": halfspaces,
-        "aff_dim": diag.aff_dim,
-        "family_size": diag.family_size,
-        "class_size": diag.class_size,
-        "n": diag.n,
-        "epsilon": diag.epsilon,
-        "notes": list(diag.notes),
     }
-    if curator_stats:
-        payload.update(empirical_mistakes=diag.selected_mistakes,
-                       empirical_error=diag.error.as_float(),
-                       min_mistakes_in_class=diag.min_mistakes)
+    hidden = set() if curator_stats else curator_only_fields(type(diag))
+    payload.update((key, convert(getattr(diag, name)))
+                   for key, (name, convert) in _DIAGNOSTIC_KEYS.items()
+                   if name not in hidden)
     return payload
 
 

@@ -1,9 +1,18 @@
 """Convex-geometry kernel in low dimension.
 
 Halfspaces and affine subspaces with tolerant membership, deterministic
-supporting hyperplanes through small point sets, brute-force convex-hull
-facet enumeration, LP feasibility of halfspace intersections inside an
-affine chart, and search for small infeasibility witnesses.
+supporting hyperplanes through small point sets, near-duplicate removal,
+brute-force convex-hull facet enumeration, LP feasibility of halfspace
+intersections inside an affine chart, and search for small infeasibility
+witnesses.
+
+Supported hyperplanes come from one array kernel,
+``supporting_hyperplanes``, which runs a modified Gram-Schmidt over every
+subset of one size at once; ``supporting_halfspace_pair`` is that kernel
+for a single subset. Near-duplicate rows are removed by ``dedup_rows``,
+which ``dedup_halfspaces`` applies to halfspace objects. Both return
+arrays, so a family of thousands of halfspaces needs no per-subset Python
+objects.
 
 All tolerances are relative to the data scale: a point x is "on" a unit
 hyperplane when |w.x - w0| <= MEM_TOL * (1 + ||x||).
@@ -51,14 +60,6 @@ def canonicalize(normal, offset):
     if abs(norm - 1.0) <= 1e-12:
         return w, float(offset)
     return w / norm, float(offset) / norm
-
-
-def _sign_canonical(w):
-    """Flip sign so the first coordinate with |w_i| > 1e-12 is positive."""
-    for v in w:
-        if abs(v) > 1e-12:
-            return w if v > 0 else -w
-    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +251,84 @@ def _complement_basis(span: np.ndarray, dim: int) -> np.ndarray:
     return np.vstack(comp) if comp else np.zeros((0, dim))
 
 
+def _dots(A, B) -> np.ndarray:
+    """Row-wise inner products of two (m, d) arrays.
+
+    A stacked (m, 1, d) @ (m, d, 1) matmul takes the same BLAS dot per row
+    as the 1-d ``a @ b`` and ``np.linalg.norm(a)``, so each value matches
+    the per-vector expression bit for bit; an einsum or an elementwise sum
+    may differ in the last bit.
+    """
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _project_out(u, basis, count):
+    """Two modified Gram-Schmidt passes of each row of ``u`` against the first
+    ``count[b]`` rows of ``basis[b]``; rows whose slot is empty are left as
+    they are."""
+    for _ in range(2):
+        for j in range(int(count.max(initial=0))):
+            b = basis[:, j]
+            step = u - _dots(b, u)[:, None] * b
+            u = np.where((count > j)[:, None], step, u)
+    return u
+
+
+def supporting_hyperplanes(X, combos):
+    """Unit normal and offset of the supported hyperplane of every subset.
+
+    ``combos`` is an (B, k) integer array of row indices into ``X`` (n, d),
+    1 <= k <= d, one subset per row. Row b of the result is the halfspace
+    that ``supporting_halfspace_pair`` returns first for ``X[combos[b]]``,
+    bit for bit: the same modified Gram-Schmidt, run over all subsets at
+    once. The centered points are orthonormalized in order, two projection
+    passes each, keeping directions whose residual norm exceeds
+    RANK_TOL * scale. The normal is the first standard basis vector whose
+    residual against that span exceeds RANK_TOL, normalized, with its first
+    coordinate above 1e-12 in magnitude made positive, then canonicalized.
+    The offset is the normal's inner product with the subset's first point.
+    """
+    X = np.asarray(X, dtype=float)
+    combos = np.asarray(combos, dtype=np.intp)
+    B, k = combos.shape
+    dim = X.shape[1]
+    P = X[combos]                                    # (B, k, d)
+    V = P - P.mean(axis=1, keepdims=True)
+    scale = 1.0 + np.max(np.abs(V), axis=(1, 2), initial=0.0)
+    span = np.zeros((B, k, dim))
+    rank = np.zeros(B, dtype=np.intp)
+    for t in range(k):
+        u = _project_out(V[:, t], span, rank)
+        norm = np.sqrt(_dots(u, u))
+        keep = norm > RANK_TOL * scale
+        span[keep, rank[keep]] = u[keep] / norm[keep, None]
+        rank += keep
+    W = np.zeros((B, dim))
+    found = np.zeros(B, dtype=bool)
+    for i in range(dim):
+        u = np.zeros((B, dim))
+        u[:, i] = 1.0
+        u = _project_out(u, span, rank)
+        norm = np.sqrt(_dots(u, u))
+        new = ~found & (norm > RANK_TOL)
+        W[new] = u[new] / norm[new, None]
+        found |= new
+    if not np.all(found):
+        raise ValueError("supporting points already span the full space")
+    big = np.abs(W) > 1e-12
+    lead = W[np.arange(B), np.argmax(big, axis=1)]
+    W = np.where((big.any(axis=1) & (lead < 0))[:, None], -W, W)
+    w0 = _dots(W, P[:, 0])
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(w0))):
+        raise ValueError("halfspace coefficients must be finite")
+    # canonicalize: rescale the rows whose norm is not within 1e-12 of 1
+    norm = np.sqrt(_dots(W, W))
+    off = np.abs(norm - 1.0) > 1e-12
+    W[off] /= norm[off, None]
+    w0[off] /= norm[off]
+    return W, w0
+
+
 def supporting_halfspace_pair(points, dim: int, source=None):
     """One halfspace supported by the given points, and its opposite.
 
@@ -257,7 +336,8 @@ def supporting_halfspace_pair(points, dim: int, source=None):
     hyperplane. For underdetermined sets the hyperplane is chosen
     deterministically: the normal is the first orthogonal-complement vector
     of the points' direction span, extended in standard-basis order, with
-    its sign fixed so the first nonzero coordinate is positive.
+    its sign fixed so the first nonzero coordinate is positive. This is
+    ``supporting_hyperplanes`` for one subset.
     """
     P = np.asarray(points, dtype=float).reshape(-1, dim)
     if P.shape[0] == 0:
@@ -266,14 +346,8 @@ def supporting_halfspace_pair(points, dim: int, source=None):
         raise ValueError(f"oversized supporting set: {P.shape[0]} points in dimension {dim}")
     if not np.all(np.isfinite(P)):
         raise ValueError("supporting points must be finite")
-    center = P.mean(axis=0)
-    span = _orthonormalize(P - center, dim)
-    comp = _complement_basis(span, dim)
-    if comp.shape[0] == 0:
-        raise ValueError("supporting points already span the full space")
-    w = _sign_canonical(comp[0])
-    w0 = float(w @ P[0])
-    h = Halfspace(w, w0, source=tuple(source) if source is not None else None)
+    W, w0 = supporting_hyperplanes(P, np.arange(P.shape[0])[None, :])
+    h = Halfspace(W[0], w0[0], source=tuple(source) if source is not None else None)
     return h, h.opposite()
 
 
@@ -294,36 +368,54 @@ def affine_span(points, dim: int | None = None) -> AffineSubspace:
     return AffineSubspace(P[0], basis)
 
 
+def dedup_rows(R, tol: float = DEDUP_TOL) -> np.ndarray:
+    """Indices of the rows of ``R`` kept by near-duplicate removal, ascending.
+
+    A row is dropped when it lies within ``tol`` in the max norm of an
+    earlier kept row; the first occurrence wins, so with a ~ b and b ~ c but
+    not a ~ c, a and c are kept. Candidate pairs come from a sort on the
+    column that puts the fewest rows within reach of each other, and a
+    window of 2 * tol on it; only rows with a near neighbour are resolved
+    one by one, in row order.
+    """
+    R = np.asarray(R, dtype=float)
+    F = R.shape[0]
+    pos = np.arange(F)
+    best = None
+    for c in range(R.shape[1] if F > 1 else 0):
+        order = np.argsort(R[:, c], kind="stable")
+        s = R[order, c]
+        reach = np.searchsorted(s, s + 2 * tol, side="right") - pos - 1
+        if best is None or reach.sum() < best[1].sum():
+            best = order, reach
+    if best is None or not best[1].any():
+        return pos
+    order, reach = best
+    first = np.repeat(pos, reach)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(reach) - reach, reach)
+    i, j = order[first], order[second]
+    near = np.max(np.abs(R[i] - R[j]), axis=1) <= tol
+    lo, hi = np.minimum(i[near], j[near]), np.maximum(i[near], j[near])
+    keep = np.ones(F, dtype=bool)
+    by_later = np.argsort(hi, kind="stable")
+    lo, hi = lo[by_later], hi[by_later]
+    starts = np.flatnonzero(np.diff(hi, prepend=-1))
+    for a, b in zip(starts, np.append(starts[1:], hi.size)):
+        keep[hi[a]] = not keep[lo[a:b]].any()
+    return np.flatnonzero(keep)
+
+
 def dedup_halfspaces(halfspaces, tol: float = DEDUP_TOL):
     """Drop halfspaces whose canonical (w, w0) row matches an earlier one.
 
-    Near-equality within ``tol`` in the max norm; first occurrence wins.
-    Grid-bucket probing keeps this O(n) with a 3^(d+1) neighborhood scan.
+    Near-equality within ``tol`` in the max norm; first occurrence wins
+    (``dedup_rows`` on the canonical rows).
     """
-    kept: list = []
-    rows: list[np.ndarray] = []
-    buckets: dict[tuple, list[int]] = {}
-    offsets = None
-    for h in halfspaces:
-        row = h.canonical_row()
-        if offsets is None:
-            m = row.size
-            offsets = list(itertools.product((-1, 0, 1), repeat=m))
-        key = tuple(np.floor(row / tol).astype(np.int64))
-        dup = False
-        for off in offsets:
-            probe = tuple(k + o for k, o in zip(key, off))
-            for idx in buckets.get(probe, ()):
-                if float(np.max(np.abs(rows[idx] - row))) <= tol:
-                    dup = True
-                    break
-            if dup:
-                break
-        if not dup:
-            buckets.setdefault(key, []).append(len(rows))
-            rows.append(row)
-            kept.append(h)
-    return kept
+    hs = list(halfspaces)
+    if not hs:
+        return []
+    kept = dedup_rows(np.array([h.canonical_row() for h in hs]), tol)
+    return [hs[i] for i in kept]
 
 
 def hull_facet_halfspaces(points, aff: AffineSubspace) -> list[Halfspace]:

@@ -25,14 +25,24 @@ import numpy as np
 
 from .geometry import (
     AffineSubspace,
+    DimensionMismatch,
     Halfspace,
     MEM_TOL,
     RANK_TOL,
     affine_span,
-    dedup_halfspaces,
-    supporting_halfspace_pair,
+    dedup_rows,
+    point_tolerance,
+    supporting_hyperplanes,
 )
-from .model import EmptySampleError, ErrorCount, LabeledSample, PPMDataset, partition
+from .model import (
+    EmptySampleError,
+    ErrorCount,
+    LabeledSample,
+    PPMDataset,
+    curator_only,
+    partition,
+    release_safe,
+)
 
 DEFAULT_HYPOTHESIS_BUDGET = 50_000_000
 _CHUNK_ENTRIES = 1 << 19       # entries per block and per temporary
@@ -67,26 +77,57 @@ def default_pool_cap(dim: int):
 class HalfspaceFamily:
     """Deduplicated halfspaces built from public points, plus their span.
 
+    Member i is {x : W[i] . x >= w0[i]}, with a unit normal, and is
+    supported by the public entries ``sources[i]``: dataset indices,
+    padded with -1 to ``dim`` columns. The arrays are read-only.
     Construction reads only public examples: two datasets with identical
     public parts produce bit-identical families.
     """
 
-    halfspaces: tuple[Halfspace, ...]
+    W: np.ndarray
+    w0: np.ndarray
+    sources: np.ndarray
     aff: AffineSubspace
     pool_indices: tuple[int, ...]
     dim: int
 
+    def __post_init__(self):
+        W = np.array(self.W, dtype=float).reshape(-1, self.dim)
+        w0 = np.array(self.w0, dtype=float).reshape(-1)
+        sources = np.array(self.sources, dtype=np.int64).reshape(-1, self.dim)
+        if not W.shape[0] == w0.size == sources.shape[0]:
+            raise ValueError("W, w0 and sources must have one row per member")
+        for name, arr in (("W", W), ("w0", w0), ("sources", sources)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_halfspaces(cls, halfspaces, aff: AffineSubspace, pool_indices,
+                        dim: int) -> "HalfspaceFamily":
+        """A family whose members are the given halfspaces, in order."""
+        hs = tuple(halfspaces)
+        sources = np.full((len(hs), dim), -1, dtype=np.int64)
+        for row, h in zip(sources, hs):
+            src = h.source or ()
+            row[:len(src)] = src
+        return cls(np.array([h.normal for h in hs]).reshape(-1, dim),
+                   np.array([h.offset for h in hs], dtype=float), sources,
+                   aff, tuple(pool_indices), dim)
+
     @property
     def size(self) -> int:
-        return len(self.halfspaces)
+        return self.w0.size
 
-    @cached_property
+    @property
     def stacked(self):
         """Read-only (W, w0) arrays for vectorized membership."""
-        W = np.array([h.normal for h in self.halfspaces]).reshape(-1, self.dim)
-        w0 = np.array([h.offset for h in self.halfspaces], dtype=float)
-        W.flags.writeable = w0.flags.writeable = False
-        return W, w0
+        return self.W, self.w0
+
+    @cached_property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        """The members as ``Halfspace`` objects, built on first read."""
+        return tuple(Halfspace(w, float(b), source=tuple(int(i) for i in src if i >= 0) or None)
+                     for w, b, src in zip(self.W, self.w0, self.sources))
 
 
 @dataclass(frozen=True)
@@ -104,6 +145,8 @@ class IntersectionHypothesis:
                 raise ValueError("region hypothesis needs at least one member")
             if any(b <= a for a, b in zip(m, m[1:])):
                 raise ValueError("member indices must be strictly increasing")
+            if m[0] < 0:
+                raise ValueError("member indices must be non-negative")
             object.__setattr__(self, "members", m)
 
     @property
@@ -138,13 +181,23 @@ class ClassG:
                 yield IntersectionHypothesis(combo)
 
 
+def _combinations(m: int, size: int) -> np.ndarray:
+    """Every strictly increasing ``size``-tuple of range(m), lexicographic,
+    as rows of an integer array."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), size))
+    return np.fromiter(flat, dtype=np.intp, count=math.comb(m, size) * size).reshape(-1, size)
+
+
 def construct_halfspace_family(S_pub: LabeledSample, dim: int,
                                pool_cap: int | None = None) -> HalfspaceFamily:
     """Supported halfspace pairs for every public-point subset of size <= d.
 
-    Only the first ``pool_cap`` public points (dataset order) feed the
-    construction when a cap is given. An empty public sample yields an
-    empty family with a sentinel full-space span.
+    Subsets come smaller sizes first and lexicographic within a size; each
+    contributes its supported halfspace, then the opposite one, and
+    near-duplicate rows are dropped, the first occurrence kept. Only the
+    first ``pool_cap`` public points (dataset order) feed the construction
+    when a cap is given. An empty public sample yields an empty family with
+    a sentinel full-space span.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -155,16 +208,22 @@ def construct_halfspace_family(S_pub: LabeledSample, dim: int,
         idx = idx[:pool_cap]
     m = X.shape[0]
     if m == 0:
-        return HalfspaceFamily((), AffineSubspace.full_space(dim), (), dim)
-    halfspaces: list[Halfspace] = []
-    for size in range(1, dim + 1):
-        for combo in itertools.combinations(range(m), size):
-            src = tuple(int(idx[i]) for i in combo)
-            h, h_op = supporting_halfspace_pair(X[list(combo)], dim, source=src)
-            halfspaces.append(h)
-            halfspaces.append(h_op)
-    deduped = tuple(dedup_halfspaces(halfspaces))
-    return HalfspaceFamily(deduped, affine_span(X, dim), tuple(int(i) for i in idx), dim)
+        return HalfspaceFamily(np.zeros((0, dim)), np.zeros(0), np.zeros((0, dim)),
+                               AffineSubspace.full_space(dim), (), dim)
+    Ws, w0s, srcs = [], [], []
+    for size in range(1, min(dim, m) + 1):
+        combos = _combinations(m, size)
+        W, w0 = supporting_hyperplanes(X, combos)
+        # the rows are unit already, so the opposite needs no rescaling
+        Ws.append(np.stack([W, -W], axis=1).reshape(-1, dim))
+        w0s.append(np.stack([w0, -w0], axis=1).ravel())
+        src = np.full((combos.shape[0], dim), -1, dtype=np.int64)
+        src[:, :size] = idx[combos]
+        srcs.append(np.repeat(src, 2, axis=0))
+    W, w0, sources = np.concatenate(Ws), np.concatenate(w0s), np.concatenate(srcs)
+    kept = dedup_rows(np.column_stack([W, w0]))
+    return HalfspaceFamily(W[kept], w0[kept], sources[kept], affine_span(X, dim),
+                           tuple(int(i) for i in idx), dim)
 
 
 def enumerate_class(family: HalfspaceFamily, dim: int) -> ClassG:
@@ -178,8 +237,9 @@ def predict(g: IntersectionHypothesis, family: HalfspaceFamily, x) -> int:
     x = np.asarray(x, dtype=float)
     if not family.aff.contains(x):
         return 1
+    tol = point_tolerance(x)
     for i in g.members:
-        if not family.halfspaces[i].contains(x):
+        if float(family.W[i] @ x - family.w0[i]) < -tol:
             return 1
     return 0
 
@@ -188,9 +248,12 @@ def predict_many(g: IntersectionHypothesis, family: HalfspaceFamily, X) -> np.nd
     X = np.asarray(X, dtype=float)
     if g.is_empty_region:
         return np.ones(X.shape[0], dtype=np.uint8)
+    if X.ndim != 2 or X.shape[1] != family.dim:
+        raise DimensionMismatch(f"points have shape {X.shape}, expected (n, {family.dim})")
     inside = family.aff.contains_many(X)
+    tol = MEM_TOL * (1.0 + np.linalg.norm(X, axis=1))
     for i in g.members:
-        inside &= family.halfspaces[i].contains_many(X)
+        inside &= X @ family.W[i] - family.w0[i] >= -tol
     return (~inside).astype(np.uint8)
 
 
@@ -287,6 +350,8 @@ def all_mistake_counts(family: HalfspaceFamily, sample: LabeledSample, dim: int,
 
 def unrank_hypothesis(rank: int, family_size: int, dim: int) -> IntersectionHypothesis:
     """Hypothesis at a given enumeration rank."""
+    if rank < 0:
+        raise IndexError("rank outside the class")
     if rank == 0:
         return EMPTY_REGION
     rank -= 1
@@ -605,12 +670,10 @@ def erm_halfspace(S_prime: LabeledSample, dim: int):
                    _keys(1, np.repeat(np.arange(4), n), np.tile(np.arange(n), 4)))
         _erm_lines(best, scale, delta)
     else:
-        hs = [supporting_halfspace_pair(X[list(combo)], dim)[0]
-              for size in range(1, dim + 1)
-              for combo in itertools.combinations(range(n), size)]
-        W = np.array([h.normal for h in hs])
-        w0 = np.array([h.offset for h in hs])
-        subset = np.arange(len(hs))
+        planes = [supporting_hyperplanes(X, _combinations(n, size))
+                  for size in range(1, min(dim, n) + 1)]
+        W, w0 = (np.concatenate(parts) for parts in zip(*planes))
+        subset = np.arange(w0.size)
         best.score(*_variants(W, w0, delta),
                    _keys(1, np.tile(subset, 4), np.repeat(np.arange(4), subset.size)))
     h, count = best.pick()
@@ -721,26 +784,29 @@ def mechanism_distribution(mistake_counts, epsilon: float, n: int) -> MechanismD
 
 @dataclass(frozen=True, eq=False)
 class LearnDiagnostics:
-    """Selection bookkeeping for reports and the DP auditor."""
+    """Selection bookkeeping for reports and the DP auditor. Each field is
+    labelled release-safe or curator-only (``model.curator_only_fields``)."""
 
-    n: int
-    n_pub: int
-    n_priv: int
-    dim: int
-    epsilon: float
-    pool_cap: int | None
-    pool_size: int
-    family_size: int
-    class_size: int
-    aff_dim: int
-    selected_rank: int
-    selected_mistakes: int
-    min_mistakes: int
-    error: ErrorCount
-    mistake_histogram: np.ndarray  # index = mistake count, value = multiplicity
-    log_normalizer: float          # log sum of exp(-eps*(c - min)/2)
-    uniform_draw: float | None
-    notes: tuple[str, ...] = ()
+    n: int = release_safe()
+    n_pub: int = release_safe()
+    n_priv: int = release_safe()
+    dim: int = release_safe()
+    epsilon: float = release_safe()
+    pool_cap: int | None = release_safe()
+    pool_size: int = release_safe()
+    family_size: int = release_safe()
+    class_size: int = release_safe()
+    aff_dim: int = release_safe()
+    selected_rank: int = release_safe()  # the epsilon-DP output
+    selected_mistakes: int = curator_only()
+    min_mistakes: int = curator_only()
+    error: ErrorCount = curator_only()
+    mistake_histogram: np.ndarray = curator_only()  # index = mistake count, value = multiplicity
+    log_normalizer: float = curator_only()          # log sum of exp(-eps*(c - min)/2)
+    # the mechanism's secret randomness: released next to the draw, it
+    # constrains the histogram of mistake counts that the draw inverted
+    uniform_draw: float | None = curator_only()
+    notes: tuple[str, ...] = release_safe(default=())
 
 
 class LearnResult(NamedTuple):

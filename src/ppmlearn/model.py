@@ -4,11 +4,16 @@ Empirical errors are kept as exact integer mistake counts so that argmin
 and selection-probability logic downstream never touches floating point;
 the exponential mechanism's sensitivity argument needs the exact 1/n
 granularity.
+
+Report fields carry a privacy label in their dataclass metadata:
+release-safe values are determined by the public entries, epsilon, the
+sample sizes and the settings (or are the epsilon-DP output itself);
+curator-only values are computed from private data without noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +21,26 @@ import numpy as np
 
 class EmptySampleError(ValueError):
     pass
+
+
+PRIVACY = "privacy"  # metadata key of a report field's privacy label
+RELEASE_SAFE = "release-safe"
+CURATOR_ONLY = "curator-only"
+
+
+def release_safe(**kwargs):
+    """A dataclass field whose value may be released next to the output."""
+    return field(metadata={PRIVACY: RELEASE_SAFE}, **kwargs)
+
+
+def curator_only(**kwargs):
+    """A dataclass field computed from private data without noise."""
+    return field(metadata={PRIVACY: CURATOR_ONLY}, **kwargs)
+
+
+def curator_only_fields(cls) -> frozenset[str]:
+    """Names of the fields of a report dataclass labelled curator-only."""
+    return frozenset(f.name for f in fields(cls) if f.metadata.get(PRIVACY) == CURATOR_ONLY)
 
 
 @dataclass(frozen=True, eq=False)

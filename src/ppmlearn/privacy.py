@@ -21,7 +21,7 @@ from .learner import (
     all_mistake_counts,
     mechanism_distribution,
 )
-from .model import LabeledSample, PPMDataset, partition
+from .model import LabeledSample, PPMDataset, curator_only, partition, release_safe
 
 DEFAULT_AUDIT_CLASS_LIMIT = 100_000
 RATIO_SLACK = 1e-9
@@ -62,12 +62,15 @@ class NeighborTrial:
 
 @dataclass(frozen=True, eq=False)
 class DPAuditReport:
-    epsilons: tuple[float, ...]
-    trials: tuple[NeighborTrial, ...]
-    class_size: int
-    family_size: int
-    n: int
-    slack: float
+    """Audit outcome. The trials name private entries and measure the
+    mechanism on the private data, so they are curator-only."""
+
+    epsilons: tuple[float, ...] = release_safe()
+    trials: tuple[NeighborTrial, ...] = curator_only()
+    class_size: int = release_safe()
+    family_size: int = release_safe()
+    n: int = release_safe()
+    slack: float = release_safe()
 
     @property
     def max_log_ratio(self) -> float:

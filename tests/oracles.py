@@ -2,18 +2,20 @@
 
 Everything here is deliberately written a different way from the library:
 sort-and-scan for 1-d ERM, brute-force ERM that scores every candidate
-against every point, an orientation-predicate hull, vertex enumeration for
-2-d feasibility, elimination-based rank, and the plain exponential-mechanism
+against every point, a per-subset halfspace family with grid-bucket
+deduplication, an orientation-predicate hull, vertex enumeration for 2-d
+feasibility, elimination-based rank, and the plain exponential-mechanism
 formula without log-space shifting.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from ppmlearn.geometry import MEM_TOL, RANK_TOL
+from ppmlearn.geometry import DEDUP_TOL, MEM_TOL, RANK_TOL, Halfspace
 
 
 def erm_1d_mistakes(xs, ys) -> int:
@@ -45,10 +47,12 @@ def erm_1d_mistakes(xs, ys) -> int:
 
 
 def erm_candidates(X, dim):
-    """Every ERM candidate row (W, w0) for d <= 2: the two constant
-    classifiers, then the supported hyperplane of every point subset of
-    size <= d in four variants (both orientations, boundary nudged in and
-    out). A coincident pair degrades to the singleton rule."""
+    """Every ERM candidate row (W, w0): the two constant classifiers, then
+    the supported hyperplane of every point subset of size <= d in four
+    variants (both orientations, boundary nudged in and out). For d <= 2
+    the rows are variant-major and a coincident pair degrades to the
+    singleton rule; for d >= 3 they are subset-major, each hyperplane
+    built by ``supporting_pair_oracle``."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     scale = 1.0 + float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
@@ -68,8 +72,16 @@ def erm_candidates(X, dim):
     if dim == 1:
         add_variants(np.ones((n, 1)), X[:, 0])
         return np.vstack(rows_w), np.concatenate(rows_b)
-    if dim != 2:
-        raise ValueError("brute-force candidates cover d <= 2")
+    if dim >= 3:
+        hs = [supporting_pair_oracle(X[list(combo)], dim)[0]
+              for size in range(1, dim + 1)
+              for combo in itertools.combinations(range(n), size)]
+        W = np.array([h.normal for h in hs])
+        w0 = np.array([h.offset for h in hs])
+        rows_w.append(np.stack([W, W, -W, -W], axis=1).reshape(-1, dim))
+        rows_b.append(np.stack([w0 - delta, w0 + delta, -w0 - delta, -w0 + delta],
+                               axis=1).ravel())
+        return np.vstack(rows_w), np.concatenate(rows_b)
     add_variants(np.tile(e1, (n, 1)), X[:, 0].copy())
     ii, jj = np.triu_indices(n, k=1)
     diff = X[jj] - X[ii]
@@ -101,6 +113,116 @@ def erm_brute_force(X, y, dim):
     keys = (w0[ties],) + tuple(W[ties, c] for c in reversed(range(dim)))
     pick = ties[np.lexsort(keys)[0]]
     return W[pick], float(w0[pick]), best
+
+
+# ---------------------------------------------------------------------------
+# Per-subset halfspace family: one Python Gram-Schmidt per point subset,
+# then grid-bucket deduplication of the Halfspace objects
+# ---------------------------------------------------------------------------
+
+
+def _orthonormalize(vectors, dim: int) -> np.ndarray:
+    basis: list[np.ndarray] = []
+    vecs = np.asarray(vectors, dtype=float).reshape(-1, dim)
+    scale = 1.0 + (float(np.max(np.abs(vecs))) if vecs.size else 0.0)
+    for v in vecs:
+        u = v.astype(float)
+        for b in basis:
+            u = u - (b @ u) * b
+        # second MGS pass for numerical orthogonality
+        for b in basis:
+            u = u - (b @ u) * b
+        norm = float(np.linalg.norm(u))
+        if norm > RANK_TOL * scale:
+            basis.append(u / norm)
+        if len(basis) == dim:
+            break
+    if not basis:
+        return np.zeros((0, dim))
+    return np.vstack(basis)
+
+
+def _complement_basis(span: np.ndarray, dim: int) -> np.ndarray:
+    comp: list[np.ndarray] = []
+    k = span.shape[0]
+    for i in range(dim):
+        u = np.zeros(dim)
+        u[i] = 1.0
+        for b in itertools.chain(span, comp):
+            u = u - (b @ u) * b
+        for b in itertools.chain(span, comp):
+            u = u - (b @ u) * b
+        norm = float(np.linalg.norm(u))
+        if norm > RANK_TOL:
+            comp.append(u / norm)
+        if len(comp) == dim - k:
+            break
+    return np.vstack(comp) if comp else np.zeros((0, dim))
+
+
+def _sign_canonical(w):
+    for v in w:
+        if abs(v) > 1e-12:
+            return w if v > 0 else -w
+    return w
+
+
+def supporting_pair_oracle(points, dim: int, source=None):
+    """The supported halfspace of a point subset and its opposite, by one
+    Gram-Schmidt over that subset alone."""
+    P = np.asarray(points, dtype=float).reshape(-1, dim)
+    center = P.mean(axis=0)
+    span = _orthonormalize(P - center, dim)
+    comp = _complement_basis(span, dim)
+    if comp.shape[0] == 0:
+        raise ValueError("supporting points already span the full space")
+    w = _sign_canonical(comp[0])
+    w0 = float(w @ P[0])
+    h = Halfspace(w, w0, source=tuple(source) if source is not None else None)
+    return h, h.opposite()
+
+
+def dedup_oracle(halfspaces, tol: float = DEDUP_TOL):
+    """First-occurrence near-duplicate removal by grid-bucket probing."""
+    kept: list = []
+    rows: list[np.ndarray] = []
+    buckets: dict[tuple, list[int]] = {}
+    offsets = None
+    for h in halfspaces:
+        row = h.canonical_row()
+        if offsets is None:
+            m = row.size
+            offsets = list(itertools.product((-1, 0, 1), repeat=m))
+        key = tuple(np.floor(row / tol).astype(np.int64))
+        dup = False
+        for off in offsets:
+            probe = tuple(k + o for k, o in zip(key, off))
+            for idx in buckets.get(probe, ()):
+                if float(np.max(np.abs(rows[idx] - row))) <= tol:
+                    dup = True
+                    break
+            if dup:
+                break
+        if not dup:
+            buckets.setdefault(key, []).append(len(rows))
+            rows.append(row)
+            kept.append(h)
+    return kept
+
+
+def family_oracle(S_pub, dim: int, pool_cap=None) -> list:
+    """The deduplicated family halfspaces, built subset by subset: both
+    orientations of every public subset of size <= d, in size then
+    lexicographic order, each citing its dataset indices."""
+    X, idx = S_pub.X, S_pub.indices
+    if pool_cap is not None:
+        X, idx = X[:pool_cap], idx[:pool_cap]
+    halfspaces = []
+    for size in range(1, dim + 1):
+        for combo in itertools.combinations(range(X.shape[0]), size):
+            src = tuple(int(idx[i]) for i in combo)
+            halfspaces.extend(supporting_pair_oracle(X[list(combo)], dim, source=src))
+    return dedup_oracle(halfspaces)
 
 
 def convex_hull_2d(points) -> list[int]:

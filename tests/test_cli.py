@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 import ppmlearn.cli as cli
-from ppmlearn.learner import BudgetExceededError
+from ppmlearn.learner import BudgetExceededError, LearnDiagnostics
+from ppmlearn.model import CURATOR_ONLY, PRIVACY, RELEASE_SAFE, curator_only_fields
 from ppmlearn.privacy import DPAuditReport, NeighborTrial
 
 
@@ -35,6 +37,28 @@ def test_gen_learn_erm_chain(tmp_path, capsys):
     erm_out = json.loads(capsys.readouterr().out)
     assert erm_out["n"] == 50
     assert 0.0 <= erm_out["empirical_error"] <= 1.0
+
+
+def test_every_report_field_has_a_privacy_label():
+    for cls in (LearnDiagnostics, DPAuditReport):
+        for f in dataclasses.fields(cls):
+            assert f.metadata.get(PRIVACY) in (RELEASE_SAFE, CURATOR_ONLY), f.name
+    assert curator_only_fields(LearnDiagnostics) == {
+        "selected_mistakes", "min_mistakes", "error", "mistake_histogram",
+        "log_normalizer", "uniform_draw"}
+    assert curator_only_fields(DPAuditReport) == {"trials"}
+
+
+def test_default_learn_json_carries_no_curator_only_value(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run_cli(["gen", "--dim", "2", "--n", "30", "--seed", "2", "--out", out]) == 0
+    assert run_cli(["learn", "--data", f"{out}/dataset.csv", "--epsilon", "1.0"]) == 0
+    captured = capsys.readouterr().out
+    payload = json.loads("{" + captured.split("{", 1)[1])
+    hidden = curator_only_fields(LearnDiagnostics)
+    reported = {key for key, (name, _) in cli._DIAGNOSTIC_KEYS.items() if name not in hidden}
+    assert payload.keys() == {"empty_region", "members", "member_halfspaces"} | reported
+    assert {name for name, _ in cli._DIAGNOSTIC_KEYS.values()} & hidden
 
 
 def test_verify_dp_pass_exit_zero(tmp_path, capsys):

@@ -9,6 +9,7 @@ from ppmlearn.geometry import (
     affine_span,
     canonicalize,
     dedup_halfspaces,
+    dedup_rows,
     helly_witness,
     hull_facet_halfspaces,
     region_feasible,
@@ -17,6 +18,7 @@ from ppmlearn.geometry import (
 
 from oracles import (
     convex_hull_2d,
+    dedup_oracle,
     feasible_2d,
     matrix_rank_elimination,
     point_in_hull_2d,
@@ -235,6 +237,26 @@ def test_dedup_keeps_first_and_drops_near_equal():
     assert len(out) == 2
     assert out[0] is h1 and out[1] is h3
     assert dedup_halfspaces(out) == out
+
+
+def test_dedup_rows_chain_keeps_first_occurrences():
+    # a ~ b, b ~ c, a !~ c: b goes with a, and c is compared to kept rows only
+    R = np.array([[1.0, 0.0], [1.0, 0.8e-9], [1.0, 1.6e-9], [1.0, 0.5e-9]])
+    assert dedup_rows(R).tolist() == [0, 2]
+    assert dedup_rows(R[::-1]).tolist() == [0, 1]
+    assert dedup_rows(np.zeros((0, 3))).tolist() == []
+
+
+def test_dedup_rows_matches_grid_buckets():
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        base = rng.standard_normal((6, 3))
+        pick = rng.integers(0, 6, 60)
+        R = base[pick] + rng.integers(-2, 3, (60, 3)) * 0.6e-9
+        hs = [Halfspace(r[:2], r[2]) for r in R]
+        ref = dedup_oracle(hs)
+        got = dedup_halfspaces(hs)
+        assert [id(h) for h in got] == [id(h) for h in ref]
 
 
 # --- region feasibility -------------------------------------------------------

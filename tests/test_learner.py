@@ -29,7 +29,7 @@ from ppmlearn.model import EmptySampleError, LabeledSample, PPMDataset, empirica
 from ppmlearn.data import GeneratorSpec, generate
 from ppmlearn.privacy import mechanism_distribution
 
-from oracles import erm_1d_mistakes, erm_brute_force
+from oracles import erm_1d_mistakes, erm_brute_force, family_oracle
 
 
 def labeled(X, y):
@@ -125,6 +125,60 @@ def test_public_only_construction_invariance():
     assert np.array_equal(fam_a.aff.basis, fam_b.aff.basis)
 
 
+def assert_family_matches_oracle(S_pub, dim, pool_cap=None):
+    """Bit-identical to building the family subset by subset: normals,
+    offsets, sources, order and size."""
+    fam = construct_halfspace_family(S_pub, dim, pool_cap)
+    ref = family_oracle(S_pub, dim, pool_cap)
+    assert fam.size == len(ref)
+    assert fam.W.tobytes() == np.array([h.normal for h in ref]).reshape(-1, dim).tobytes()
+    assert fam.w0.tobytes() == np.array([h.offset for h in ref], dtype=float).tobytes()
+    assert [h.source for h in fam.halfspaces] == [h.source for h in ref]
+    for h, r in zip(fam.halfspaces, ref):
+        assert h.normal.tobytes() == r.normal.tobytes() and h.offset == r.offset
+    return fam
+
+
+@pytest.mark.parametrize("dim, n, cap", [(1, 300, 40), (2, 60, 12), (3, 30, 9), (4, 20, 7)])
+def test_family_matches_oracle_on_generator_samples(dim, n, cap):
+    for seed in range(3):
+        s_pub = partition(label_determined_dataset(dim, n, seed=seed, eta=0.1))[0]
+        assert_family_matches_oracle(s_pub, dim)
+        assert_family_matches_oracle(s_pub, dim, pool_cap=cap)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_family_matches_oracle_on_degenerate_points(dim):
+    rng = np.random.default_rng(20 + dim)
+    m = {1: 12, 2: 9, 3: 7, 4: 6}[dim]
+    X = rng.standard_normal((m, dim))
+    grid = np.array(list(itertools.product(range(3), repeat=dim)), dtype=float)[:m + 2]
+    samples = {
+        "duplicates": np.vstack([X[:m - 3], X[:2], X[:1]]),
+        "near-coincident": np.vstack([X[:m - 2], X[:2] + rng.uniform(-1, 1, (2, dim)) * 1e-11]),
+        "large norm": X * 1e6 + 3e6,
+        "integer grid": grid,
+        "one point": X[:1],
+        # nearly parallel to the first axis: the first basis vector is
+        # rejected and the normal's leading coordinate can come out negative
+        "nearly axis-parallel": np.column_stack(
+            [X[:, 0], rng.uniform(-1, 1, (m, dim - 1)) * 5e-11]),
+    }
+    if dim == 3:
+        t = rng.standard_normal((m, 1))
+        samples["collinear"] = t * np.array([1.0, -2.0, 0.5]) + np.array([0.3, 1.0, -1.0])
+        samples["coplanar"] = np.column_stack([X[:, :2], X[:, 0] - X[:, 1]])
+    for name, P in samples.items():
+        assert_family_matches_oracle(labeled(P, [0] * len(P)), dim)
+
+
+def test_family_dedup_chain_keeps_first_and_last():
+    # a ~ b and b ~ c within DEDUP_TOL, but a and c apart: a and c stay
+    fam = assert_family_matches_oracle(labeled([[0.0], [0.8e-9], [1.6e-9]], [0] * 3), 1)
+    assert fam.size == 4
+    assert fam.sources[:, 0].tolist() == [0, 0, 2, 2]
+
+
 # --- class enumeration -----------------------------------------------------------
 
 
@@ -167,6 +221,18 @@ def test_unrank_matches_enumeration():
             unrank_hypothesis(len(hyps), fam_size, dim)
 
 
+def test_unrank_refuses_negative_ranks():
+    for rank in (-1, -7):
+        with pytest.raises(IndexError, match="rank outside the class"):
+            unrank_hypothesis(rank, 5, 2)
+
+
+def test_negative_members_are_refused():
+    for members in [(-1,), (-2, 0)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            IntersectionHypothesis(members)
+
+
 # --- prediction -------------------------------------------------------------------
 
 
@@ -174,7 +240,7 @@ def quadrant_family():
     hs = (Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0))
     from ppmlearn.learner import HalfspaceFamily
     from ppmlearn.geometry import AffineSubspace
-    return HalfspaceFamily(hs, AffineSubspace.full_space(2), (0, 1), 2)
+    return HalfspaceFamily.from_halfspaces(hs, AffineSubspace.full_space(2), (0, 1), 2)
 
 
 def test_predict_examples():
@@ -189,7 +255,7 @@ def test_predict_outside_affine_subspace():
     from ppmlearn.learner import HalfspaceFamily
     from ppmlearn.geometry import AffineSubspace
     aff = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))  # x-axis
-    fam = HalfspaceFamily((Halfspace([1.0, 0.0], 0.0),), aff, (0,), 2)
+    fam = HalfspaceFamily.from_halfspaces((Halfspace([1.0, 0.0], 0.0),), aff, (0,), 2)
     g = IntersectionHypothesis((0,))
     assert predict(g, fam, [1.0, 0.5]) == 1   # off the axis
     assert predict(g, fam, [1.0, 0.0]) == 0
@@ -306,6 +372,13 @@ def assert_erm_matches_brute_force(X, y, dim):
     assert h.normal.tobytes() == ref.normal.tobytes()  # signed zeros too
     assert h.offset.hex() == ref.offset.hex()
     return mistakes
+
+
+def test_erm_d3_matches_per_subset_candidates():
+    rng = np.random.default_rng(43)
+    for n in range(1, 13):
+        X = rng.standard_normal((n, 3)) * rng.uniform(0.5, 3.0)
+        assert_erm_matches_brute_force(X, rng.integers(0, 2, n), 3)
 
 
 def near_line(rng, a, b, offset):
