@@ -61,6 +61,8 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.holdout < 1000:
             raise ValueError("holdout must be >= 1000 for +-0.01 error quotes")
+        if self.pool_cap is not None and self.pool_cap < 0:
+            raise ValueError("pool_cap must be >= 0")
 
     @property
     def resolved_pool_cap(self) -> int | None:

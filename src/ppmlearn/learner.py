@@ -6,8 +6,11 @@ span), then select among all intersections of <= d family members (and
 the distinguished empty-region hypothesis) with an exponential mechanism
 scored by exact mistake counts on the full labeled sample.
 
-Scoring never leaves integer arithmetic: mistake counts are computed with
-0/1 matrix products and compared as ints. The products run in float32,
+Scoring never leaves integer arithmetic. At d = 1 every member is a
+threshold: one sort of the sample and two binary searches per member count
+the points on each side, and only the points near a threshold are tested
+one by one, O((F + n) log n). At d >= 2 mistake counts come from 0/1
+matrix products and are compared as ints. The products run in float32,
 which is exact while each label's count is at most 2^24, and in float64
 for larger samples.
 """
@@ -97,6 +100,9 @@ class HalfspaceFamily:
         sources = np.array(self.sources, dtype=np.int64).reshape(-1, self.dim)
         if not W.shape[0] == w0.size == sources.shape[0]:
             raise ValueError("W, w0 and sources must have one row per member")
+        # the d = 1 scorer's band (``_threshold_excess``) rests on unit normals
+        if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1.0) <= 1e-12):
+            raise ValueError("member normals must be unit vectors")
         for name, arr in (("W", W), ("w0", w0), ("sources", sources)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -201,6 +207,8 @@ def construct_halfspace_family(S_pub: LabeledSample, dim: int,
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if pool_cap is not None and pool_cap < 0:
+        raise ValueError("pool_cap must be >= 0")
     X = S_pub.X
     idx = S_pub.indices
     if pool_cap is not None and X.shape[0] > pool_cap:
@@ -272,7 +280,8 @@ def hypothesis_error(g: IntersectionHypothesis, family: HalfspaceFamily,
 
 
 def _membership(family: HalfspaceFamily, X: np.ndarray, dtype) -> np.ndarray:
-    """(F, n) 0/1 entries: point in halfspace AND in the public span."""
+    """(F, n) 0/1 entries: point in halfspace AND in the public span. Used
+    at d >= 2; d = 1 counts thresholds instead (``_threshold_excess``)."""
     W, w0 = family.stacked
     tol = MEM_TOL * (1.0 + np.linalg.norm(X, axis=1))
     in_span = family.aff.contains_many(X)[:, None]
@@ -287,6 +296,66 @@ def _membership(family: HalfspaceFamily, X: np.ndarray, dtype) -> np.ndarray:
     return M
 
 
+def _threshold_excess(family: HalfspaceFamily, sample: LabeledSample) -> np.ndarray:
+    """d = 1: for each member, the 1-labels it holds minus the 0-labels it
+    holds, over the points in the public span. Its mistakes are n0 plus
+    that.
+
+    Member i holds x when x*w - w0 >= -MEM_TOL*(1+|x|) (``_membership``'s
+    expression): x >= t for w > 0 and x <= t for w < 0, t = w0/w, give or
+    take the tolerance. After one sort of the points, two binary searches
+    per member find the points below and above a band [t - b, t + b]; a
+    prefix sum of the labels counts those, and the few points inside the
+    band are tested with the expression itself, in chunks of at most
+    ``_CHUNK_ENTRIES`` tests. O((F + n) log n) plus the band points.
+
+    The band width: normals are unit, |w| within 1e-12 of 1, so the
+    tolerance moves the boundary by at most MEM_TOL*(1+|x|)/|w| from t,
+    under 1.01*MEM_TOL*(1+|t|) while |x| <= |t| + b. Rounding adds a few
+    ulps of 1+|t|: in t = w0/w, in x*w, in the subtraction and in the
+    edges t -+ b. With b = 4*MEM_TOL*(1+|t|) + 8*spacing(1+|t|), x*w - w0
+    rounds to a value >= 0 above the band and to one below
+    -MEM_TOL*(1+|x|) under it; farther points only widen the margins, which
+    grow faster than the tolerance. The first term covers the tolerance
+    four times over and the second the rounding. w < 0 is the mirror image
+    under x -> -x.
+    """
+    keep = family.aff.contains_many(sample.X)
+    x = sample.X[keep, 0]
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    sign = np.where(sample.y[keep] == 1, 1, -1)[order]  # +1 per 1-label, -1 per 0-label
+    tol = MEM_TOL * (1.0 + np.sqrt(x * x))  # the norm of each point, bit for bit
+    extra = 0
+    if x.size and max(tol[0], tol[-1]) == np.inf:
+        # the norm overflows past |x| ~ 1.3e154: tol is inf and every member
+        # holds x; such points sit at the ends of the sort
+        huge = tol == np.inf
+        extra = int(sign[huge].sum())
+        x, tol, sign = x[~huge], tol[~huge], sign[~huge]
+    w, w0 = family.W[:, 0], family.w0
+    t = w0 / w
+    reach = 1.0 + np.abs(t)
+    b = 4.0 * MEM_TOL * reach + 8.0 * np.spacing(reach)
+    below = np.searchsorted(x, t - b)
+    above = np.searchsorted(x, t + b, side="right")
+    prefix = np.concatenate([[0], np.cumsum(sign)])
+    excess = np.where(w > 0, prefix[-1] - prefix[above], prefix[below]) + extra
+    # the band tests, member-major: test k belongs to the last member whose
+    # first test is at or before k
+    width = above - below
+    first = np.cumsum(width) - width
+    total = int(width.sum())
+    for lo in range(0, total, _CHUNK_ENTRIES):
+        k = np.arange(lo, min(lo + _CHUNK_ENTRIES, total))
+        member = np.searchsorted(first, k, side="right") - 1
+        pos = below[member] + (k - first[member])
+        held = x[pos] * w[member] - w0[member] >= -tol[pos]
+        excess += np.bincount(member, weights=held * sign[pos],
+                              minlength=w.size).astype(np.int64)
+    return excess
+
+
 def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     """Mistake counts of the whole class as ``(rank_base, counts)`` blocks
     that cover ranks 0, 1, 2, ... in enumeration order.
@@ -294,22 +363,29 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     mistakes(T) = #(y=0 outside region) + #(y=1 inside region)
                 = n0 - |intersection on y=0| + |intersection on y=1|.
 
-    Singles are row counts. A tuple of size s >= 2 takes the product of
-    its first s-2 member rows once; on 0/1 rows that keeps the points inside
-    all of them. One GEMM per row chunk over those points then scores every
-    choice of the last two members (the strict upper triangle).
+    At d = 1 every member is a threshold: its counts come from one sort and
+    binary searches (``_threshold_excess``), with no (F, n) matrix. At
+    d >= 2 singles are row counts of the 0/1 membership matrices. A tuple
+    of size s >= 2 takes the product of its first s-2 member rows once; on
+    0/1 rows that keeps the points inside all of them. One GEMM per row
+    chunk over those points then scores every choice of the last two
+    members (the strict upper triangle).
     """
-    X0 = sample.X[sample.y == 0]
-    X1 = sample.X[sample.y == 1]
-    n0 = X0.shape[0]
+    zero = sample.y == 0
+    n0 = int(np.count_nonzero(zero))
     yield 0, np.array([n0], dtype=np.int64)
     F = family.size
     if F == 0:
         return
-    # d = 1 needs only row counts; GEMM inner products are exact in float32
-    # only while each label's count is at most 2^24
+    if dim == 1:
+        yield 1, n0 + _threshold_excess(family, sample)
+        return
+    X0 = sample.X[zero]
+    X1 = sample.X[sample.y == 1]
+    # GEMM inner products are exact in float32 only while each label's
+    # count is at most 2^24
     wide = max(n0, X1.shape[0]) > _FLOAT32_EXACT
-    dtype = bool if dim == 1 else np.float64 if wide else np.float32
+    dtype = np.float64 if wide else np.float32
     M0 = _membership(family, X0, dtype)
     M1 = _membership(family, X1, dtype)
     yield 1, n0 - np.count_nonzero(M0, axis=1) + np.count_nonzero(M1, axis=1)

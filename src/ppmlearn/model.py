@@ -87,6 +87,8 @@ class LabeledSample:
             raise ValueError("X must be 2-d")
         if y.shape != (X.shape[0],) or idx.shape != (X.shape[0],):
             raise ValueError("y/indices lengths must match X")
+        if y.size and y.max() > 1:
+            raise ValueError("labels must be 0/1")
         for arr in (X, y, idx):
             arr.flags.writeable = False
         object.__setattr__(self, "X", X)

@@ -91,21 +91,26 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     exact selection distributions over the shared class and records the
     maximum pointwise |log P(i) - log P'(i)|. Public entries are never
     touched: passing a public index in ``indices`` is refused, since the
-    guarantee holds only with respect to private entries, and so is an
-    index outside 0..n-1. PASS means every ratio is at most epsilon + 1e-9.
+    guarantee holds only with respect to private entries. So are an index
+    outside 0..n-1, an empty ``indices`` and ``trials`` < 1; the last two
+    would check nothing. PASS means every ratio is at most epsilon + 1e-9.
     """
     epsilons = tuple(float(e) for e in (epsilon if np.iterable(epsilon) else [epsilon]))
     if any(e <= 0 for e in epsilons):
         raise ValueError("epsilon must be positive")
-    s_pub, s_priv, s_prime = partition(dataset)
-    family = construct_halfspace_family(s_pub, dataset.dim, pool_cap)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     priv_idx = np.flatnonzero(dataset.p)
     if indices is not None:
         indices = [int(i) for i in indices]
+        if not indices:
+            raise ValueError("indices must name at least one private entry")
         for i in indices:
             _check_private(dataset, i)
     elif priv_idx.size == 0:
         raise IllegalNeighborError("dataset has no private entries to perturb")
+    s_pub, s_priv, s_prime = partition(dataset)
+    family = construct_halfspace_family(s_pub, dataset.dim, pool_cap)
 
     base_counts = all_mistake_counts(family, s_prime, dataset.dim, limit=class_limit)
     base_dists = {eps: mechanism_distribution(base_counts, eps, dataset.n)

@@ -179,6 +179,34 @@ def test_pool_cap_zero_means_uncapped(tmp_path, capsys):
     assert uncapped["family_size"] > capped["family_size"]
 
 
+def test_negative_pool_cap_exit_two(tmp_path, capsys):
+    out = str(tmp_path)
+    run_cli(["gen", "--dim", "1", "--n", "14", "--seed", "5", "--out", out])
+    data = f"{out}/dataset.csv"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "generator": {"dim": 1, "target_normal": [1.0], "target_offset": 0.0},
+        "n_grid": [40], "epsilon_grid": [1.0], "holdout": 1000}))
+    capsys.readouterr()
+    for argv in (["learn", "--data", data, "--epsilon", "1.0"],
+                 ["verify-dp", "--data", data, "--trials", "2"],
+                 ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "run")]):
+        assert run_cli(argv + ["--pool-cap", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: pool_cap must be >= 0\n"
+    assert not (tmp_path / "run").exists()  # refused before the first trial
+
+
+def test_verify_dp_zero_trials_exit_two(tmp_path, capsys):
+    out = str(tmp_path)
+    run_cli(["gen", "--dim", "1", "--n", "14", "--seed", "5", "--out", out])
+    capsys.readouterr()
+    assert run_cli(["verify-dp", "--data", f"{out}/dataset.csv", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: trials must be >= 1\n"
+    assert captured.out == ""
+
+
 def test_gen_with_explicit_target(tmp_path, capsys):
     out = str(tmp_path)
     assert run_cli(["gen", "--dim", "2", "--n", "30", "--target", "1,0:0.5",

@@ -35,6 +35,9 @@ def test_config_validation():
                     holdout=1000)
     with pytest.raises(ValueError):
         SweepConfig(generator=gen, n_grid=(10,), epsilon_grid=(1.0,), holdout=10)
+    with pytest.raises(ValueError, match="pool_cap must be >= 0"):
+        SweepConfig(generator=gen, n_grid=(10,), epsilon_grid=(1.0,), holdout=1000,
+                    pool_cap=-3)
 
 
 def test_pool_cap_resolution():

@@ -179,6 +179,25 @@ def test_family_dedup_chain_keeps_first_and_last():
     assert fam.sources[:, 0].tolist() == [0, 0, 2, 2]
 
 
+def test_family_refuses_non_unit_normals():
+    from ppmlearn.geometry import AffineSubspace
+    for w in (1.0 + 1e-9, 0.5, 0.0, np.nan):
+        with pytest.raises(ValueError, match="unit vectors"):
+            learner.HalfspaceFamily(np.array([[w]]), np.zeros(1), -np.ones((1, 1)),
+                                    AffineSubspace.full_space(1), (), 1)
+
+
+def test_negative_pool_cap_is_refused():
+    X = np.arange(14, dtype=float).reshape(-1, 1)
+    ds = PPMDataset(dim=1, X=X, y=np.zeros(14, dtype=int), p=np.zeros(14, dtype=int))
+    with pytest.raises(ValueError, match="pool_cap must be >= 0"):
+        construct_halfspace_family(labeled(X, [0] * 14), 1, pool_cap=-5)
+    with pytest.raises(ValueError, match="pool_cap must be >= 0"):
+        learn_half(ds, 1.0, pool_cap=-5)
+    # a cap of 0 stays a valid, empty pool
+    assert construct_halfspace_family(labeled(X, [0] * 14), 1, pool_cap=0).size == 0
+
+
 # --- class enumeration -----------------------------------------------------------
 
 
@@ -287,7 +306,7 @@ def test_hypothesis_error_matches_empirical_error():
 
 
 def test_all_mistake_counts_match_naive_enumeration():
-    for dim, n, seed in [(1, 10, 0), (2, 12, 1), (3, 9, 2), (4, 7, 3)]:
+    for dim, n, seed in [(1, 10, 0), (1, 400, 12), (2, 12, 1), (3, 9, 2), (4, 7, 3)]:
         ds = label_determined_dataset(dim, n, seed=seed, eta=0.2)
         s_prime = partition(ds)[2]
         fam = construct_halfspace_family(partition(ds)[0], dim)
@@ -318,6 +337,107 @@ def test_counts_switch_to_float64_past_the_float32_limit(monkeypatch):
             dtypes.clear()
             assert all_mistake_counts(fam, s_prime, dim).tolist() == naive
             assert dtypes == [dtype, dtype]
+
+
+def _d1_grid_with_duplicates(rng):
+    x = rng.integers(-4, 5, 40).astype(float)
+    return x, rng.integers(0, 2, x.size), rng.random(x.size) < 0.5
+
+
+def _d1_points_near_thresholds(rng):
+    # 1e-11 to 1e-9 (relative) off a public point is inside its tolerance,
+    # 1e-9 to 1e-8 is across it
+    pub = np.array([-3.0, -0.5, 0.0, 0.25, 2.0, 7.0, 120.0])
+    base = pub[rng.integers(0, pub.size, 60)]
+    rel = 10.0 ** rng.uniform(-11, -8, base.size) * rng.choice([-1.0, 1.0], base.size)
+    x = np.concatenate([pub, base + rel * (1.0 + np.abs(base))])
+    return x, rng.integers(0, 2, x.size), np.arange(x.size) < pub.size
+
+
+def _d1_cluster_at_1e8(rng):
+    x = np.concatenate([1e8 + rng.integers(-8, 9, 30) * 0.05,
+                        -1e8 - rng.integers(0, 4, 10) * 0.5])
+    return x, rng.integers(0, 2, x.size), rng.random(x.size) < 0.5
+
+
+def _d1_one_public_point(rng):
+    # a 0-dim span: points off it are in no member, points on it in all
+    p0 = 0.7
+    x = np.concatenate([[p0], rng.normal(size=10), p0 * (1.0 + 10.0 ** -rng.uniform(8, 11, 5))])
+    return x, rng.integers(0, 2, x.size), np.arange(x.size) == 0
+
+
+def _d1_no_public_points(rng):
+    x = rng.normal(size=12)
+    return x, rng.integers(0, 2, x.size), np.zeros(x.size, dtype=bool)
+
+
+def _d1_all_zeros(rng):
+    x = np.round(rng.normal(size=25) * 3, 1)
+    return x, np.zeros(x.size, dtype=int), rng.random(x.size) < 0.5
+
+
+def _d1_all_ones(rng):
+    x = np.round(rng.normal(size=25) * 3, 1)
+    return x, np.ones(x.size, dtype=int), rng.random(x.size) < 0.5
+
+
+def _d1_past_the_norm_overflow(rng):
+    # |x| > 1.3e154 overflows the norm, so the tolerance is inf
+    x = np.concatenate([rng.normal(size=12), [1e200, -1e200, -3e160]])
+    return x, rng.integers(0, 2, x.size), np.arange(x.size) < 6
+
+
+@pytest.fixture
+def no_membership(monkeypatch):
+    """d = 1 scoring must not build a membership matrix."""
+    def forbidden(*a, **k):
+        raise AssertionError("d = 1 scoring called _membership")
+
+    monkeypatch.setattr(learner, "_membership", forbidden)
+
+
+@pytest.mark.parametrize("points", [
+    _d1_grid_with_duplicates, _d1_points_near_thresholds, _d1_cluster_at_1e8,
+    _d1_one_public_point, _d1_no_public_points, _d1_all_zeros, _d1_all_ones,
+    _d1_past_the_norm_overflow,
+])
+def test_d1_counts_match_naive_enumeration(points, no_membership):
+    for seed in range(4):
+        x, y, pub = points(np.random.default_rng(seed))
+        sample = labeled(x[:, None], y)
+        fam = construct_halfspace_family(labeled(x[pub, None], y[pub]), 1)
+        with np.errstate(over="ignore"):  # the norm of |x| > 1.3e154
+            naive = [hypothesis_error(g, fam, sample).mistakes
+                     for g in enumerate_class(fam, 1)]
+            assert all_mistake_counts(fam, sample, 1).tolist() == naive
+            g, err = best_in_class(enumerate_class(fam, 1), sample)
+        assert err.mistakes == min(naive)
+        assert g == list(enumerate_class(fam, 1))[naive.index(min(naive))]
+
+
+def test_d1_band_tests_agree_across_chunks(no_membership, monkeypatch):
+    # the 1e8 cluster puts many points in each member's band
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 7)
+    x, y, pub = _d1_cluster_at_1e8(np.random.default_rng(3))
+    sample = labeled(x[:, None], y)
+    fam = construct_halfspace_family(labeled(x[pub, None], y[pub]), 1)
+    naive = [hypothesis_error(g, fam, sample).mistakes for g in enumerate_class(fam, 1)]
+    assert all_mistake_counts(fam, sample, 1).tolist() == naive
+
+
+def test_d1_counts_with_normals_off_unit_by_1e13(no_membership):
+    from ppmlearn.geometry import AffineSubspace
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.integers(-3, 4, 20).astype(float),
+                        [1.0 + 1e-13, 1.0 - 2e-13, -2.0 * (1.0 + 1e-13)]])
+    sample = labeled(x[:, None], rng.integers(0, 2, x.size))
+    hs = [Halfspace([s * (1.0 + e)], s * t * (1.0 + e))
+          for t in (-2.0, 0.0, 1.0, 3.0) for s in (1.0, -1.0) for e in (1e-13, -1e-13)]
+    assert all(abs(abs(h.normal[0]) - 1.0) > 0 for h in hs)  # kept off unit
+    fam = learner.HalfspaceFamily.from_halfspaces(hs, AffineSubspace.full_space(1), (), 1)
+    naive = [hypothesis_error(g, fam, sample).mistakes for g in enumerate_class(fam, 1)]
+    assert all_mistake_counts(fam, sample, 1).tolist() == naive
 
 
 # --- ERM ---------------------------------------------------------------------------

@@ -143,6 +143,13 @@ def test_empirical_error_complement_sums_to_total():
     assert direct.mistakes + flipped.mistakes == s.n
 
 
+def test_labeled_sample_refuses_labels_other_than_0_and_1():
+    # the class scorer counts 0-labels and 1-labels; a 2 would be scored
+    # as neither by it and as a mistake by hypothesis_error
+    with pytest.raises(ValueError, match="labels must be 0/1"):
+        LabeledSample(np.zeros((3, 1)), np.array([2, 0, 1]), np.arange(3))
+
+
 def test_empirical_error_empty_sample():
     s = LabeledSample(np.zeros((0, 1)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     with pytest.raises(EmptySampleError):

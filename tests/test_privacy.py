@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ppmlearn.privacy as privacy
 from ppmlearn.data import GeneratorSpec, generate
 from ppmlearn.geometry import Halfspace
 from ppmlearn.learner import BudgetExceededError, all_mistake_counts, construct_halfspace_family
@@ -175,3 +176,16 @@ def test_verify_dp_explicit_private_indices():
     report = verify_dp(ds, 1.0, trials=4, indices=priv, seed=0)
     assert report.passed
     assert {t.index for t in report.trials} <= set(priv)
+
+
+def test_verify_dp_refuses_an_audit_that_checks_nothing(monkeypatch):
+    def no_scoring(*a, **k):
+        raise AssertionError("scored before refusing")
+
+    monkeypatch.setattr(privacy, "all_mistake_counts", no_scoring)
+    ds = label_determined(1, 12, seed=10)
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_dp(ds, 1.0, trials=trials)
+    with pytest.raises(ValueError, match="at least one private entry"):
+        verify_dp(ds, 1.0, trials=4, indices=[])
