@@ -9,10 +9,15 @@ scored by exact mistake counts on the full labeled sample.
 Scoring never leaves integer arithmetic. At d = 1 every member is a
 threshold: one sort of the sample and two binary searches per member count
 the points on each side, and only the points near a threshold are tested
-one by one, O((F + n) log n). At d >= 2 mistake counts come from 0/1
-matrix products and are compared as ints. The products run in float32,
-which is exact while each label's count is at most 2^24, and in float64
-for larger samples.
+one by one, O((F + n) log n). At d >= 2 the members come in lines
+(``HalfspaceFamily.line``), a line's plus orientation and its exact
+negation (``sign`` 0 and 1). Membership is taken once per line, and the
+counts of both orientations follow by inclusion-exclusion from one GEMM
+over line rows and small products over the points on a line: pairs cost
+(F/2)^2 * n / 2 multiply-adds, not F^2 * n / 2. Every value formed is an
+integer of magnitude at most 4n; the products run in float32, exact while
+4n <= 2^24, and in float64 beyond. Counts are stored as uint16 while
+n < 65,536 and as uint32 beyond.
 """
 
 from __future__ import annotations
@@ -70,10 +75,27 @@ def default_pool_cap(dim: int):
     if dim == 2:
         return 40
     m = 1
-    while class_cardinality(2 * sum(math.comb(m + 1, j) for j in range(1, dim + 1)),
-                            dim) <= DEFAULT_HYPOTHESIS_BUDGET:
+    while raw_class_bound(m + 1, dim) <= DEFAULT_HYPOTHESIS_BUDGET:
         m += 1
     return m
+
+
+def raw_class_bound(m: int, dim: int) -> int:
+    """|G| when none of the 2 * sum_{j<=d} C(m, j) supported halfspaces of
+    a pool of m points is a duplicate: a bound on the class size."""
+    return class_cardinality(2 * sum(math.comb(m, j) for j in range(1, dim + 1)), dim)
+
+
+def check_pool_budget(n_pub: int, dim: int, pool_cap: int | None, budget: int) -> None:
+    """Refuse, before the family is built, a pool whose class could exceed
+    ``budget``. The bound counts duplicate halfspaces too, so it can refuse
+    a pool whose duplicates would have shrunk the class under the budget."""
+    m = n_pub if pool_cap is None else max(0, min(n_pub, pool_cap))
+    bound = raw_class_bound(m, dim)
+    if bound > budget:
+        raise BudgetExceededError(
+            f"class too large; reduce pool_cap (|G| up to {bound} > {budget} from "
+            f"{m} pool points, counting duplicate halfspaces, so it may have fit)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +104,16 @@ class HalfspaceFamily:
 
     Member i is {x : W[i] . x >= w0[i]}, with a unit normal, and is
     supported by the public entries ``sources[i]``: dataset indices,
-    padded with -1 to ``dim`` columns. The arrays are read-only.
-    Construction reads only public examples: two datasets with identical
-    public parts produce bit-identical families.
+    padded with -1 to ``dim`` columns. Member i lies on line ``line[i]``,
+    numbered 0, 1, ... in member order: a member that is the exact
+    negation of the member before it, unless that one already closes a
+    line, is the second orientation of that member's line (``sign`` 1);
+    every other member opens a line (``sign`` 0).
+    ``construct_halfspace_family`` emits each line as rows 2k and 2k+1;
+    a family given one orientation of some lines has lines of one member.
+    The arrays are read-only. Construction reads only public examples:
+    two datasets with identical public parts produce bit-identical
+    families.
     """
 
     W: np.ndarray
@@ -93,17 +122,30 @@ class HalfspaceFamily:
     aff: AffineSubspace
     pool_indices: tuple[int, ...]
     dim: int
+    line: np.ndarray = field(init=False)
+    sign: np.ndarray = field(init=False)
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float).reshape(-1, self.dim)
         w0 = np.array(self.w0, dtype=float).reshape(-1)
         sources = np.array(self.sources, dtype=np.int64).reshape(-1, self.dim)
-        if not W.shape[0] == w0.size == sources.shape[0]:
+        F = w0.size
+        if not W.shape[0] == F == sources.shape[0]:
             raise ValueError("W, w0 and sources must have one row per member")
         # the d = 1 scorer's band (``_threshold_excess``) rests on unit normals
         if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1.0) <= 1e-12):
             raise ValueError("member normals must be unit vectors")
-        for name, arr in (("W", W), ("w0", w0), ("sources", sources)):
+        # the d >= 2 scorer derives a line's second orientation from its
+        # first, so only exact negations pair up; in a run of them (repeated
+        # members) every other one closes a line
+        negates = np.zeros(F, dtype=bool)
+        negates[1:] = np.all(W[1:] == -W[:-1], axis=1) & (w0[1:] == -w0[:-1])
+        i = np.arange(F)
+        opener = np.maximum.accumulate(np.where(negates, 0, i))  # the run's first member
+        sign = (negates & ((i - opener) % 2 == 1)).astype(np.int64)
+        line = np.cumsum(1 - sign) - 1
+        for name, arr in (("W", W), ("w0", w0), ("sources", sources),
+                          ("line", line), ("sign", sign)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -124,10 +166,20 @@ class HalfspaceFamily:
     def size(self) -> int:
         return self.w0.size
 
-    @property
-    def stacked(self):
-        """Read-only (W, w0) arrays for vectorized membership."""
-        return self.W, self.w0
+    @cached_property
+    def line_planes(self):
+        """(W, w0) of the first member of every line, one row per line."""
+        first = self.sign == 0
+        return self.W[first], self.w0[first]
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """Member index of each orientation slot 2 * line + sign, -1 where
+        a line lacks that orientation."""
+        slots = np.full(2 * (int(self.line[-1]) + 1 if self.size else 0), -1, dtype=np.int32)
+        slots[2 * self.line + self.sign] = np.arange(self.size)
+        slots.flags.writeable = False
+        return slots
 
     @cached_property
     def halfspaces(self) -> tuple[Halfspace, ...]:
@@ -200,7 +252,9 @@ def construct_halfspace_family(S_pub: LabeledSample, dim: int,
 
     Subsets come smaller sizes first and lexicographic within a size; each
     contributes its supported halfspace, then the opposite one, and
-    near-duplicate rows are dropped, the first occurrence kept. Only the
+    near-duplicate rows are dropped, the first occurrence kept. A row and
+    its exact negation are kept or dropped together and make up one line
+    (``HalfspaceFamily.line``). Only the
     first ``pool_cap`` public points (dataset order) feed the construction
     when a cap is given. An empty public sample yields an empty family with
     a sentinel full-space span.
@@ -279,21 +333,33 @@ def hypothesis_error(g: IntersectionHypothesis, family: HalfspaceFamily,
 # ---------------------------------------------------------------------------
 
 
-def _membership(family: HalfspaceFamily, X: np.ndarray, dtype) -> np.ndarray:
-    """(F, n) 0/1 entries: point in halfspace AND in the public span. Used
-    at d >= 2; d = 1 counts thresholds instead (``_threshold_excess``)."""
-    W, w0 = family.stacked
-    tol = MEM_TOL * (1.0 + np.linalg.norm(X, axis=1))
-    in_span = family.aff.contains_many(X)[:, None]
-    F, n = family.size, X.shape[0]
-    M = np.empty((F, n), dtype=dtype)
-    chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
-    for lo in range(0, F, chunk):
-        hi = min(F, lo + chunk)
-        signed = X @ W[lo:hi].T
-        signed -= w0[lo:hi]
-        M[lo:hi] = ((signed >= -tol[:, None]) & in_span).T
-    return M
+def _membership(family: HalfspaceFamily, X: np.ndarray, dtype):
+    """Membership at d >= 2 of points X, all in the public span.
+
+    One signed value s = W . x - w0 per (point, line), for the first
+    member (W, w0) of the line, its plus orientation
+    (``HalfspaceFamily.line_planes``). It holds x when s >= -tol,
+    tol = MEM_TOL * (1 + |x|), and the minus orientation, its exact
+    negation, holds x when s <= tol: the test that
+    ``predict_many`` makes. Returns the (n, L) 0/1 matrix Z of the plus
+    orientations and the points on some line (|s| <= tol), which both
+    orientations of that line hold: their indices, ascending, and their
+    (k, L) 0/1 on-line rows E. d = 1 counts thresholds instead
+    (``_threshold_excess``).
+    """
+    W, w0 = family.line_planes
+    tol = MEM_TOL * (1.0 + np.sqrt(np.add.reduce(X * X, axis=1)))  # the norm, bit for bit
+    Z = np.empty((X.shape[0], w0.size), dtype=dtype)
+    on = np.empty(Z.shape, dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // max(w0.size, 1))
+    for lo in range(0, X.shape[0], step):
+        signed = X[lo:lo + step] @ W.T
+        signed -= w0
+        t = tol[lo:lo + step, None]
+        np.greater_equal(signed, -t, out=Z[lo:lo + step])
+        np.less_equal(np.abs(signed, out=signed), t, out=on[lo:lo + step])
+    pts = on.any(axis=1).nonzero()[0]
+    return Z, pts, on[pts].astype(dtype)
 
 
 def _threshold_excess(family: HalfspaceFamily, sample: LabeledSample) -> np.ndarray:
@@ -356,6 +422,70 @@ def _threshold_excess(family: HalfspaceFamily, sample: LabeledSample) -> np.ndar
     return excess
 
 
+def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles):
+    """Mistake counts, offset by ``base``, over the points of ``Z`` (rows:
+    the n1 1-labels, then the 0-labels): of every member from ``start`` on
+    if ``singles``, then of every pair of them i < j, lexicographic, in
+    blocks. ``slots`` maps the orientation slots of Z's lines, 2l + sign,
+    to member indices (``HalfspaceFamily.slots``).
+
+    Over the points, with +1 per 1-label and -1 per 0-label, the plus
+    orientation P_l of line l is a row of Z and the minus orientation is
+    1 - P_l + O_l, where O_l, the on-line points, lie in P_l. They come as
+    indices ``pts`` into Z's rows and on-line rows ``E``. With the signed
+    sizes r_l = |P_l|, o_l = |O_l| and A of all
+    points, the signed intersections of the four orientation pairs of
+    lines l and m follow from G = P_l . P_m, the one large GEMM, and the
+    products C = P_l . O_m, C' = O_l . P_m and D = O_l . O_m over the k
+    on-line points:
+
+        plus-plus    G
+        plus-minus   r_l - G + C
+        minus-plus   r_m - G + C'
+        minus-minus  A - r_l - r_m + o_l + o_m + G - C - C' + D
+
+    Each correction, with its row and column terms as extra rank-one rows,
+    is one small GEMM of inner size at most 2k + 2. Line rows run in chunks
+    against every later line, so only the upper triangle of G is formed.
+    The four blocks are interleaved by slot and the member slots i < j
+    kept. Every partial sum is an integer of magnitude at most 4n, exact
+    in ``Z``'s dtype (``_score_blocks``).
+    """
+    L, k = Z.shape[1], pts.size
+    sgn = np.ones(Z.shape[0], dtype=Z.dtype)
+    sgn[n1:] = -1
+    s = sgn[pts, None]
+    sP = Z[pts] * s
+    r = sgn @ Z
+    o_r = sgn[pts] @ E - r
+    count_plus = base + r
+    count_minus = o_r + (base + 2 * n1 - Z.shape[0])  # base + A - r + o
+    if singles:
+        both = np.concatenate([count_plus[:, None], count_minus[:, None]], axis=1)
+        yield both.ravel()[slots >= start]
+    # the corrections and their rank-one terms as row factors:
+    # plus.T @ on = C + r_l + base, on.T @ plus = C' + r_m + base, and
+    # minus.T @ cols = the minus-minus count - G. No inner size is 1,
+    # which numpy would not hand to BLAS.
+    ones = np.ones((1, L), dtype=Z.dtype)
+    left = np.concatenate([sP, r[None], base * ones, E * s - sP, E, count_minus[None], ones])
+    right = np.concatenate([E, ones, ones, E, -sP, ones, o_r[None]])
+    plus, minus, on, cols = left[:k + 2], left[k + 2:], right[:k + 2], right[k + 2:]
+    # a row slot outside the members from ``start`` on keeps no column
+    row_member = np.where(slots < start, start + slots.size, slots)
+    rows = max(1, _CHUNK_ENTRIES // (4 * L))
+    for a in range(0, L, rows):
+        b = min(L, a + rows)
+        G = (Z[:, a:b] * sgn[:, None]).T @ Z[:, a:]
+        out = np.empty((b - a, 2, L - a, 2), dtype=Z.dtype)
+        np.add(G, base, out=out[:, 0, :, 0])
+        np.subtract(plus[:, a:b].T @ on[:, a:], G, out=out[:, 0, :, 1])
+        np.subtract(on[:, a:b].T @ plus[:, a:], G, out=out[:, 1, :, 0])
+        np.add(minus[:, a:b].T @ cols[:, a:], G, out=out[:, 1, :, 1])
+        keep = slots[2 * a:] > row_member[2 * a:2 * b, None]
+        yield out.reshape(2 * (b - a), -1)[keep]
+
+
 def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     """Mistake counts of the whole class as ``(rank_base, counts)`` blocks
     that cover ranks 0, 1, 2, ... in enumeration order.
@@ -365,11 +495,15 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
 
     At d = 1 every member is a threshold: its counts come from one sort and
     binary searches (``_threshold_excess``), with no (F, n) matrix. At
-    d >= 2 singles are row counts of the 0/1 membership matrices. A tuple
-    of size s >= 2 takes the product of its first s-2 member rows once; on
-    0/1 rows that keeps the points inside all of them. One GEMM per row
-    chunk over those points then scores every choice of the last two
-    members (the strict upper triangle).
+    d >= 2 the work is done once per line, not once per member: one
+    membership row per line over the points in the public span
+    (``_membership``), from which both orientations follow by integer
+    inclusion-exclusion (``_tuple_blocks``). Singles are signed row totals.
+    A tuple of size s >= 2 restricts the points to those inside its first
+    s-2 members once; one GEMM per line chunk over those points then
+    scores every choice of the last two. Pairs cost (F/2)^2 * n / 2
+    multiply-adds, a quarter of a GEMM over member rows. Counts at d >= 2
+    come as floats holding exact integers.
     """
     zero = sample.y == 0
     n0 = int(np.count_nonzero(zero))
@@ -380,45 +514,47 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     if dim == 1:
         yield 1, n0 + _threshold_excess(family, sample)
         return
-    X0 = sample.X[zero]
-    X1 = sample.X[sample.y == 1]
-    # GEMM inner products are exact in float32 only while each label's
-    # count is at most 2^24
-    wide = max(n0, X1.shape[0]) > _FLOAT32_EXACT
-    dtype = np.float64 if wide else np.float32
-    M0 = _membership(family, X0, dtype)
-    M1 = _membership(family, X1, dtype)
-    yield 1, n0 - np.count_nonzero(M0, axis=1) + np.count_nonzero(M1, axis=1)
-    rank = 1 + F
+    # points off the public span are in no member and only add to n0
+    span = family.aff.contains_many(sample.X)
+    X1 = sample.X[span & ~zero]
+    # the GEMMs and the sums after them form integers of magnitude at most
+    # 4n, exact in float32 while 4n <= 2^24
+    wide = 4 * sample.n > _FLOAT32_EXACT
+    Z, pts, E = _membership(family, np.concatenate([X1, sample.X[span & zero]]),
+                            np.float64 if wide else np.float32)
+    n1 = X1.shape[0]
+    line, sign = family.line, family.sign
+    rank = 1
     for size in range(2, dim + 1):
         for prefix in itertools.combinations(range(F - 2), size - 2):
             start = prefix[-1] + 1 if prefix else 0
-            pts0 = M0[list(prefix)].all(axis=0) if prefix else slice(None)
-            pts1 = M1[list(prefix)].all(axis=0) if prefix else slice(None)
-            S0, S1 = M0[start:, pts0], M1[start:, pts1]
-            m = F - start
-            rows = max(1, _CHUNK_ENTRIES // m)
-            for a in range(0, m - 1, rows):
-                b = min(m - 1, a + rows)
-                inside = S1[a:b] @ S1[a + 1:].T
-                inside -= S0[a:b] @ S0[a + 1:].T
-                keep = np.arange(m - a - 1) >= np.arange(b - a)[:, None]
-                counts = inside[keep].astype(np.int64)
-                counts += n0
+            part = Z, n1, pts, E
+            if prefix:
+                inside = np.ones(Z.shape[0], dtype=bool)
+                for p in prefix:
+                    held = Z[:, line[p]] > 0
+                    if sign[p]:
+                        held = ~held
+                        held[pts[E[:, line[p]] > 0]] = True
+                    inside &= held
+                keep = np.flatnonzero(inside)
+                on = inside[pts]
+                l0 = line[start]
+                part = (Z[keep, l0:], int(np.searchsorted(keep, n1)),
+                        np.searchsorted(keep, pts[on]), E[on, l0:])
+            for counts in _tuple_blocks(*part, family.slots[2 * line[start]:], start,
+                                        n0, singles=not prefix):
                 yield rank, counts
                 rank += counts.size
 
 
-def all_mistake_counts(family: HalfspaceFamily, sample: LabeledSample, dim: int,
-                       limit: int | None = None) -> np.ndarray:
+def all_mistake_counts(family: HalfspaceFamily, sample: LabeledSample, dim: int) -> np.ndarray:
     """Mistake counts of every hypothesis in enumeration order (rank 0 is
-    the empty-region hypothesis). Materializes the whole vector; guard with
-    ``limit``."""
-    card = class_cardinality(family.size, dim)
-    if limit is not None and card > limit:
-        raise BudgetExceededError(
-            f"class too large; reduce pool_cap (|G| = {card} > {limit})")
-    out = np.empty(card, dtype=np.int64)
+    the empty-region hypothesis), as uint16 while n < 65,536 and as uint32
+    beyond. Materializes the whole vector; callers check the class size
+    first (``check_pool_budget``)."""
+    out = np.empty(class_cardinality(family.size, dim),
+                   dtype=np.uint16 if sample.n < 1 << 16 else np.uint32)
     for base, counts in _score_blocks(family, sample, dim):
         out[base:base + counts.size] = counts
     return out
@@ -789,7 +925,8 @@ class MechanismDistribution:
     sensitivity 1/n. The law depends on the class only through the histogram
     of mistake counts (at most n+1 bins), so the normalizer is a sum over
     bins and a draw picks a count first, then a hypothesis with that count.
-    Holds a read-only view of ``mistake_counts``.
+    Holds a read-only view of ``mistake_counts``, in the integer dtype it
+    came in (``all_mistake_counts`` gives uint16 or uint32).
     """
 
     mistake_counts: np.ndarray
@@ -800,14 +937,20 @@ class MechanismDistribution:
     log_normalizer: float = field(init=False)  # log sum of exp(-eps*(c - min)/2)
 
     def __post_init__(self):
-        c = np.asarray(self.mistake_counts, dtype=np.int64).view()
+        c = np.asarray(self.mistake_counts)
+        c = (c if c.dtype.kind in "iu" else c.astype(np.int64)).view()
         if c.size == 0:
             raise ValueError("empty score list")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        hist = np.bincount(c, minlength=self.n + 1)  # copies read-only input
+        # bincount converts to intp, so it runs in chunks, never on a full copy
+        hist = np.bincount(c[:_CHUNK_ENTRIES], minlength=self.n + 1)
+        for lo in range(_CHUNK_ENTRIES, c.size, _CHUNK_ENTRIES):
+            part = np.bincount(c[lo:lo + _CHUNK_ENTRIES], minlength=hist.size)
+            part[:hist.size] += hist
+            hist = part
         c.flags.writeable = hist.flags.writeable = False
         object.__setattr__(self, "mistake_counts", c)
         object.__setattr__(self, "histogram", hist)
@@ -911,8 +1054,9 @@ def learn_half(dataset: PPMDataset, epsilon: float, pool_cap: int | None = None,
         notes.append(msg)
 
     s_pub, s_priv, s_prime = partition(dataset)
+    check_pool_budget(s_pub.n, dataset.dim, pool_cap, budget)
     family = construct_halfspace_family(s_pub, dataset.dim, pool_cap)
-    counts = all_mistake_counts(family, s_prime, dataset.dim, limit=budget)
+    counts = all_mistake_counts(family, s_prime, dataset.dim)
     dist = mechanism_distribution(counts, epsilon, dataset.n)
     rank, u = dist.sample(np.random.default_rng(seed))
     selected = int(counts[rank])

@@ -19,6 +19,7 @@ from .learner import (
     MechanismDistribution,  # re-exported: the distribution the auditor checks
     construct_halfspace_family,
     all_mistake_counts,
+    check_pool_budget,
     mechanism_distribution,
 )
 from .model import LabeledSample, PPMDataset, curator_only, partition, release_safe
@@ -110,9 +111,12 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     elif priv_idx.size == 0:
         raise IllegalNeighborError("dataset has no private entries to perturb")
     s_pub, s_priv, s_prime = partition(dataset)
+    check_pool_budget(s_pub.n, dataset.dim, pool_cap, class_limit)
     family = construct_halfspace_family(s_pub, dataset.dim, pool_cap)
 
-    base_counts = all_mistake_counts(family, s_prime, dataset.dim, limit=class_limit)
+    base_counts = all_mistake_counts(family, s_prime, dataset.dim)
+    # signed, so that a count of 0 minus 1 does not wrap
+    dropped = base_counts.astype(np.int64) - 1
     base_dists = {eps: mechanism_distribution(base_counts, eps, dataset.n)
                   for eps in epsilons}
     rng = np.random.default_rng(seed)
@@ -128,7 +132,7 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
         # so dropping the old entry adds its flipped mistakes minus one
         swap = LabeledSample(np.vstack([dataset.X[idx], x_new]),
                              [1 - int(dataset.y[idx]), y_new], [idx, idx])
-        neighbor_counts = base_counts - 1 + all_mistake_counts(family, swap, dataset.dim)
+        neighbor_counts = dropped + all_mistake_counts(family, swap, dataset.dim)
         for eps in epsilons:
             d1 = mechanism_distribution(neighbor_counts, eps, dataset.n)
             ratio = float(np.max(np.abs(base_dists[eps].log_probs - d1.log_probs)))

@@ -136,6 +136,12 @@ def assert_family_matches_oracle(S_pub, dim, pool_cap=None):
     assert [h.source for h in fam.halfspaces] == [h.source for h in ref]
     for h, r in zip(fam.halfspaces, ref):
         assert h.normal.tobytes() == r.normal.tobytes() and h.offset == r.offset
+    # dedup keeps or drops both orientations of a line: member 2k is its
+    # plus and member 2k+1 its exact negation
+    assert fam.line.tolist() == [i // 2 for i in range(fam.size)]
+    assert fam.sign.tolist() == [i % 2 for i in range(fam.size)]
+    assert np.array_equal(fam.W[1::2], -fam.W[::2])
+    assert np.array_equal(fam.w0[1::2], -fam.w0[::2])
     return fam
 
 
@@ -185,6 +191,21 @@ def test_family_refuses_non_unit_normals():
         with pytest.raises(ValueError, match="unit vectors"):
             learner.HalfspaceFamily(np.array([[w]]), np.zeros(1), -np.ones((1, 1)),
                                     AffineSubspace.full_space(1), (), 1)
+
+
+def test_family_pairs_adjacent_exact_negations():
+    from ppmlearn.geometry import AffineSubspace
+    a, b = [1.0, 0.0], [0.0, 1.0]
+    neg = lambda v: [-x for x in v]  # noqa: E731
+    # a -a | b | a -a | a (a run of three) | -b | b+1e-15 (not exact) | -b b | b
+    W = [a, neg(a), b, a, neg(a), a, neg(b), b, neg(b), b, b]
+    w0 = [0.5, -0.5, 2.0, 0.5, -0.5, 0.5, -2.0, 2.0 + 1e-15, -2.0, 2.0, 2.0]
+    fam = learner.HalfspaceFamily(W, w0, -np.ones((11, 2)), AffineSubspace.full_space(2), (), 2)
+    assert fam.line.tolist() == [0, 0, 1, 2, 2, 3, 4, 5, 6, 6, 7]
+    assert fam.sign.tolist() == [0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0]
+    assert fam.slots.tolist() == [0, 1, 2, -1, 3, 4, 5, -1, 6, -1, 7, -1, 8, 9, 10, -1]
+    W0, w00 = fam.line_planes
+    assert np.array_equal(W0, np.array(W)[fam.sign == 0]) and w00.size == 8
 
 
 def test_negative_pool_cap_is_refused():
@@ -336,7 +357,122 @@ def test_counts_switch_to_float64_past_the_float32_limit(monkeypatch):
             monkeypatch.setattr(learner, "_FLOAT32_EXACT", limit)
             dtypes.clear()
             assert all_mistake_counts(fam, s_prime, dim).tolist() == naive
-            assert dtypes == [dtype, dtype]
+            # one membership matrix for both labels, one row per line
+            assert dtypes == [dtype]
+
+
+def assert_counts_match_naive(fam, sample, dim):
+    """Class scores and the first minimizer equal scoring every hypothesis
+    on its own (``hypothesis_error``)."""
+    G = enumerate_class(fam, dim)
+    naive = [hypothesis_error(g, fam, sample).mistakes for g in G]
+    assert all_mistake_counts(fam, sample, dim).tolist() == naive
+    g, err = best_in_class(G, sample)
+    assert err.mistakes == min(naive)
+    assert g == unrank_hypothesis(naive.index(min(naive)), fam.size, dim)
+
+
+def _lines_grid(rng, dim):
+    # many points on each line, duplicates, and points exactly on the
+    # public lines and planes
+    X = rng.integers(-2, 3, (int(rng.integers(12, 40)), dim)) * rng.choice([0.5, 1.0, 1000.0])
+    return X, rng.integers(0, 2, X.shape[0]), np.arange(X.shape[0]) < (6 if dim == 2 else 4)
+
+
+def _lines_one_public_point(rng, dim):
+    # a 0-dim span: only copies of the public point are in any member
+    p0 = rng.standard_normal(dim)
+    X = np.vstack([p0, rng.standard_normal((10, dim)), np.tile(p0, (4, 1)),
+                   p0 * (1.0 + 1e-11)])
+    return X, rng.integers(0, 2, X.shape[0]), np.arange(X.shape[0]) == 0
+
+
+def _lines_collinear_public(rng, dim):
+    # public points on one line: a 1-dim span, with sample points on it,
+    # near it and off it
+    t = rng.integers(-3, 4, 20).astype(float)
+    u = rng.standard_normal(dim)
+    X = np.vstack([np.outer(t, u) + 1.0, rng.standard_normal((8, dim)),
+                   np.outer(t[:5], u) + 1.0 + 1e-12])
+    return X, rng.integers(0, 2, X.shape[0]), np.arange(X.shape[0]) < 5
+
+
+def _lines_generator(rng, dim):
+    X = rng.standard_normal((40, dim))
+    return X, (X[:, 0] > 0.1).astype(int) ^ (rng.random(40) < 0.2), rng.random(40) < 0.3
+
+
+LINE_INPUTS = [_lines_grid, _lines_one_public_point, _lines_collinear_public, _lines_generator]
+
+
+def _line_family(points, dim, seed):
+    X, y, pub = points(np.random.default_rng(seed), dim)
+    X = np.asarray(X, dtype=float)
+    cap = 6 if dim == 2 else 4
+    fam = construct_halfspace_family(labeled(X[pub], y[pub]), dim, pool_cap=cap)
+    return fam, labeled(X, y)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("points", LINE_INPUTS)
+def test_line_scorer_matches_naive_enumeration(points, dim):
+    for seed in range(3):
+        assert_counts_match_naive(*_line_family(points, dim, seed), dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_line_scorer_agrees_across_chunks(dim, monkeypatch):
+    # one line per pair chunk and a handful of points per membership chunk
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 7)
+    for points in LINE_INPUTS:
+        assert_counts_match_naive(*_line_family(points, dim, 5), dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_line_scorer_with_one_orientation_of_some_lines(dim):
+    from ppmlearn.learner import HalfspaceFamily
+    for seed in range(3):
+        full, sample = _line_family(_lines_grid, dim, seed)
+        rng = np.random.default_rng(seed)
+        # drop the plus of some lines and the minus of others
+        keep = np.flatnonzero(rng.random(full.size) < 0.7)
+        fam = HalfspaceFamily(full.W[keep], full.w0[keep], full.sources[keep], full.aff,
+                              full.pool_indices, dim)
+        assert np.array_equal(fam.line, np.unique(full.line[keep], return_inverse=True)[1])
+        assert 0 < fam.sign.sum() < np.count_nonzero(fam.sign == 0)  # some pairs left
+        assert_counts_match_naive(fam, sample, dim)
+        # the same members, reordered so that no two negations are adjacent:
+        # every member is a line of its own
+        order = np.argsort(fam.sign, kind="stable")
+        alone = HalfspaceFamily.from_halfspaces([fam.halfspaces[i] for i in order],
+                                                fam.aff, fam.pool_indices, dim)
+        assert alone.line.tolist() == list(range(fam.size)) and not alone.sign.any()
+        assert_counts_match_naive(alone, sample, dim)
+
+
+def test_counts_are_compact_integers():
+    rng = np.random.default_rng(9)
+    for n, dtype in [((1 << 16) - 1, np.uint16), (1 << 16, np.uint32)]:
+        X = rng.standard_normal((n, 2))
+        y = (X[:, 0] > 0).astype(int)
+        fam = construct_halfspace_family(labeled(X[:2], y[:2]), 2)
+        counts = all_mistake_counts(fam, labeled(X, y), 2)
+        assert counts.dtype == dtype
+        G = enumerate_class(fam, 2)
+        assert counts.tolist() == [hypothesis_error(g, fam, labeled(X, y)).mistakes for g in G]
+        dist = mechanism_distribution(counts, 1.0, n)
+        assert dist.mistake_counts.dtype == dtype  # no int64 copy
+        assert np.array_equal(dist.histogram, np.bincount(counts.astype(np.int64), minlength=n + 1))
+
+
+def test_histogram_is_taken_in_chunks(monkeypatch):
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 7)
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 30, 50).astype(np.uint16)
+    counts[45] = 41  # past n: the histogram grows in a later chunk
+    dist = mechanism_distribution(counts, 1.0, 30)
+    assert np.array_equal(dist.histogram, np.bincount(counts, minlength=31))
+    assert dist.histogram.size == 42 and dist.min_mistakes == int(counts.min())
 
 
 def _d1_grid_with_duplicates(rng):
@@ -695,6 +831,30 @@ def test_learn_half_budget_guard():
     ds = label_determined_dataset(2, 20, seed=33)
     with pytest.raises(BudgetExceededError, match="reduce pool_cap"):
         learn_half(ds, 1.0, budget=5)
+
+
+def test_budget_is_checked_before_the_family_is_built(monkeypatch):
+    def no_family(*a, **k):
+        raise AssertionError("built the family before refusing")
+
+    monkeypatch.setattr(learner, "construct_halfspace_family", no_family)
+    monkeypatch.setattr(privacy, "construct_halfspace_family", no_family)
+    rng = np.random.default_rng(5)
+    n = 1200
+    X = rng.standard_normal((n, 2))
+    p = np.arange(n) % 2  # 600 public points
+    ds = PPMDataset(dim=2, X=X, y=(X[:, 0] > 0).astype(int), p=p)
+    with pytest.raises(BudgetExceededError, match="reduce pool_cap"):
+        learn_half(ds, 1.0)
+    with pytest.raises(BudgetExceededError, match="counting duplicate halfspaces"):
+        privacy.verify_dp(ds, 1.0, trials=1)
+    # the bound counts duplicates: 30 copies of two points build 6
+    # halfspaces, a class of 22, but 60 pool points are refused on the raw
+    # count of 3660 rows
+    twin = PPMDataset(dim=2, X=np.tile([[0.0, 0.0], [1.0, 1.0]], (40, 1)),
+                      y=np.zeros(80, dtype=int), p=np.arange(80) >= 60)
+    with pytest.raises(BudgetExceededError, match="may have fit"):
+        learn_half(twin, 1.0, budget=10_000)
 
 
 def test_learn_half_histogram_matches_full_counts():

@@ -131,6 +131,28 @@ def test_verify_dp_passes_and_matches_direct_recomputation():
             assert trial.max_log_ratio == pytest.approx(direct, abs=1e-10)
 
 
+def test_neighbor_counts_do_not_wrap_below_zero(monkeypatch):
+    # a realizable sample: some hypothesis makes 0 mistakes, and its
+    # neighbour count is computed from 0 - 1 in a signed type
+    ds = label_determined(2, 10, seed=4)
+    base = all_mistake_counts(construct_halfspace_family(partition(ds)[0], 2),
+                              partition(ds)[2], 2)
+    assert base.dtype == np.uint16 and base.min() == 0
+    seen = []
+    real = privacy.mechanism_distribution
+
+    def spy(counts, eps, n):
+        seen.append(np.asarray(counts))
+        return real(counts, eps, n)
+
+    monkeypatch.setattr(privacy, "mechanism_distribution", spy)
+    assert verify_dp(ds, [0.5], trials=6, seed=1).passed
+    neighbors = seen[1:]
+    assert len(neighbors) == 6
+    for counts in neighbors:
+        assert counts.dtype.kind == "i" and 0 <= counts.min() and counts.max() <= ds.n
+
+
 def test_verify_dp_pointwise_bound_full_outcome_space():
     # every pointwise ratio over the whole class stays within eps
     for seed in (4, 5):
