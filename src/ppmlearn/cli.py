@@ -142,9 +142,12 @@ def cmd_gen(args) -> int:
 
 def _cli_pool_cap(args, dim: int, default_to_dim: bool):
     """--pool-cap semantics: absent -> per-dimension default (or uncapped),
-    0 -> uncapped, anything else -> that cap."""
+    0 -> uncapped (None to the library), negative -> refused, anything else
+    -> that cap."""
     if args.pool_cap is None:
         return default_pool_cap(dim) if default_to_dim else None
+    if args.pool_cap < 0:
+        raise UsageError("pool_cap must be >= 0")
     return None if args.pool_cap == 0 else args.pool_cap
 
 

@@ -39,7 +39,7 @@ class SweepConfig:
     """Grid of (n, epsilon) cells, trials per cell, holdout size, pool cap.
 
     pool_cap=None applies the per-dimension default; pool_cap=0 forces an
-    uncapped construction pool.
+    uncapped construction pool, which reaches the library as None.
     """
 
     generator: GeneratorSpec

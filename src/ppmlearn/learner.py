@@ -86,11 +86,18 @@ def raw_class_bound(m: int, dim: int) -> int:
     return class_cardinality(2 * sum(math.comb(m, j) for j in range(1, dim + 1)), dim)
 
 
+def _check_pool_cap(pool_cap: int | None) -> None:
+    """A cap keeps at least one pool point; uncapped is spelled None."""
+    if pool_cap is not None and pool_cap < 1:
+        raise ValueError("pool_cap must be >= 1; None means uncapped")
+
+
 def check_pool_budget(n_pub: int, dim: int, pool_cap: int | None, budget: int) -> None:
     """Refuse, before the family is built, a pool whose class could exceed
     ``budget``. The bound counts duplicate halfspaces too, so it can refuse
     a pool whose duplicates would have shrunk the class under the budget."""
-    m = n_pub if pool_cap is None else max(0, min(n_pub, pool_cap))
+    _check_pool_cap(pool_cap)
+    m = n_pub if pool_cap is None else min(n_pub, pool_cap)
     bound = raw_class_bound(m, dim)
     if bound > budget:
         raise BudgetExceededError(
@@ -256,13 +263,13 @@ def construct_halfspace_family(S_pub: LabeledSample, dim: int,
     its exact negation are kept or dropped together and make up one line
     (``HalfspaceFamily.line``). Only the
     first ``pool_cap`` public points (dataset order) feed the construction
-    when a cap is given. An empty public sample yields an empty family with
-    a sentinel full-space span.
+    when a cap is given; a cap below 1 is refused, and None means uncapped.
+    An empty public sample yields an empty family with a sentinel
+    full-space span.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if pool_cap is not None and pool_cap < 0:
-        raise ValueError("pool_cap must be >= 0")
+    _check_pool_cap(pool_cap)
     X = S_pub.X
     idx = S_pub.indices
     if pool_cap is not None and X.shape[0] > pool_cap:
@@ -595,11 +602,13 @@ def unrank_hypothesis(rank: int, family_size: int, dim: int) -> IntersectionHypo
 # The candidates are the two constant classifiers and, for every point
 # subset of size <= d, its supported hyperplane in four variants: both
 # orientations, and the boundary nudged by -delta and by +delta. Below
-# d = 3 the variants are counted from the sides the points lie on, after
-# one sort (d = 1) or one angular sort per pivot point (d = 2). Rows whose
-# counts the sides cannot settle are scored against every point instead:
-# the constants, the d = 2 singletons, and every hyperplane with another
-# point inside that point's margin.
+# d = 4 the variants are counted from the sides the points lie on, after
+# one sort (d = 1) or one angular sort per pivot (d = 2 and 3,
+# ``_erm_sweep``). Rows whose counts the sides cannot settle are scored
+# against every point instead: the constants, the singletons (d >= 2),
+# the pairs (d = 3), every hyperplane with another point inside that
+# point's margin and, at d = 3, every plane whose row may stray too far
+# from the sweep's plane. At d >= 4 every candidate is scored that way.
 
 
 def _variants(W, w0, delta):
@@ -723,145 +732,290 @@ class _Minimizers:
 
 
 def _erm_thresholds(best: _Minimizers, delta: float) -> None:
-    """d = 1: the variants of every threshold x_i, counted after one sort.
-    A threshold is crowded when a sorted neighbour lies within that
-    neighbour's margin of it; a farther point then lies outside its own
-    margin too, since margins grow by less than the distance."""
+    """The variants of the hyperplane with normal e1 through every point,
+    the thresholds x[0] = X[i, 0]: every candidate at d = 1 and the
+    singletons at d = 2, counted after one sort. A threshold is crowded
+    when a sorted neighbour lies within the largest margin of it; a farther
+    point then lies outside its own margin too."""
     x = best.X[:, 0]
-    n = x.size
+    n, dim = best.X.shape
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], best.y[order].astype(np.int64)
-    margin = _margins(best.X, delta)[order]
-    gap = np.diff(xs)
+    near = np.diff(xs) <= _margins(best.X, delta).max()
     crowded = np.zeros(n, dtype=bool)
-    crowded[:-1] |= gap <= margin[1:]
-    crowded[1:] |= gap <= margin[:-1]
+    crowded[:-1] |= near
+    crowded[1:] |= near
     ones = np.concatenate([[0], np.cumsum(ys)])
     p = np.arange(n)
     below1, above1 = ones[:-1], ones[-1] - ones[1:]
     counts = _variant_mistakes((n - 1 - p - above1) + below1, n - 1, 1 - ys, ys)
     clean = order[~crowded]
+    e1 = np.eye(dim)[:1]
 
     def rows(mask):
         variant, at = np.nonzero(mask.reshape(4, -1))
         i = clean[at]
-        W, w0 = _variant_rows(np.ones((i.size, 1)), x[i], variant, delta)
+        W, w0 = _variant_rows(np.repeat(e1, i.size, axis=0), x[i], variant, delta)
         return W, w0, _keys(1, variant, i)
 
     best.offer(counts[:, ~crowded].ravel(), rows)
     i = order[crowded]
-    best.score(*_variants(np.ones((i.size, 1)), x[i], delta),
+    best.score(*_variants(np.repeat(e1, i.size, axis=0), x[i], delta),
                _keys(1, np.repeat(np.arange(4), i.size), np.tile(i, 4)))
 
 
-def _erm_lines(best: _Minimizers, scale: float, delta: float) -> None:
-    """d = 2: the variants of the line through every pair X[i], X[j], i < j.
+# the error bound of a d = 3 row, in units of scale^2 / h, and the largest
+# stray of a row from its sweep plane that the margins absorb (``_erm_sweep``)
+_ROW_ERROR = 128 * np.finfo(float).eps
+_ROW_STRAY = 2.5e-10
 
-    Around each pivot i the other points are sorted by angle. The points
-    strictly left of the ray from X[i] through X[j] are those in the half
-    turn after it, counted on the doubled circle. Point k's side settles
-    its membership unless it lies within half its margin of the line
-    (i, j), which needs the line's direction within margin_k / r_k radians
-    of X[k]'s direction or its opposite, r_k = |X[k] - X[i]|. Lines that
-    such a window reaches are crowded. A point within twice its margin of
-    the pivot crowds every line through the pivot. Coincident pairs are
-    skipped: they repeat the singleton rows. Pivots run in row chunks, so
-    memory stays O(chunk * n).
+
+def _rotation_plane(X, piv):
+    """The plane in which a hyperplane through the pivot points ``piv``
+    (c, d - 1) turns: the 2-D complement of their direction span.
+
+    Returns the coordinates (p, q), each (c, n), of every point minus the
+    pivot's first point in an orthonormal frame (c, 2, d) of that plane,
+    and the pivot's spread. At d = 2 the plane is the space itself, the
+    differences are used as they are and the spread is None. At d = 3 the
+    frame is normal to u = X[j] - X[i] (any frame where u = 0), the spread
+    is |u|, and one GEMM projects the points.
+    """
+    c, dim = piv.shape[0], X.shape[1]
+    base = X[piv[:, 0]]
+    if dim == 2:
+        p, q = np.ascontiguousarray(X.T)[:, None, :] - base.T[:, :, None]
+        return p, q, np.broadcast_to(np.eye(2), (c, 2, 2)), None
+    u = X[piv[:, 1]] - base
+    rho = np.linalg.norm(u, axis=1)
+    u[rho == 0] = (1.0, 0.0, 0.0)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    # a: the axis least aligned with u, made normal to it; b = u x a
+    a = np.zeros((c, 3))
+    a[np.arange(c), np.argmin(np.abs(u), axis=1)] = 1.0
+    a -= np.einsum("ij,ij->i", u, a)[:, None] * u
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    frame = np.stack([a, np.cross(u, a)], axis=1)
+    pq = (frame.reshape(2 * c, 3) @ X.T).reshape(c, 2, -1)
+    pq -= np.einsum("cst,ct->cs", frame, base)[:, :, None]
+    return pq[:, 0], pq[:, 1], frame, rho
+
+
+def _row_strays(p, q, r, frame, rho, scale):
+    """d = 3: the candidates whose row may stray from the sweep's plane by
+    more than _ROW_STRAY, as a (c, n) mask over ``_rotation_plane``'s
+    points (``_erm_sweep`` argues the bound)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = (_ROW_ERROR * scale * scale) / (rho[:, None] * r)
+        # |n_l[a]| for the axis a that Gram-Schmidt takes: the first with
+        # |n_l[a]| > RANK_TOL / 2, in practice axis 0
+        t = np.abs(p * frame[:, 1, 0, None] - q * frame[:, 0, 0, None]) / r
+        rare = np.nonzero(t <= RANK_TOL / 2)
+        if rare[0].size:
+            n_l = (p[rare][:, None] * frame[rare[0], 1]
+                   - q[rare][:, None] * frame[rare[0], 0]) / r[rare][:, None]
+            t[rare] = np.where(np.abs(n_l[:, 1]) > RANK_TOL / 2, np.abs(n_l[:, 1]),
+                               np.abs(n_l[:, 2]))
+        g = t - 2 * eta
+        return ~((eta <= RANK_TOL / 4) & (g > RANK_TOL) & (eta + 2 * eta / g <= _ROW_STRAY))
+
+
+def _plane_rows(X, combos):
+    """The supported hyperplane of every point subset ``combos`` (rows of
+    d increasing indices): the line rule at d = 2, Gram-Schmidt at d = 3."""
+    if combos.shape[1] == 2:
+        return _pair_hyperplanes(X, combos[:, 0], combos[:, 1])
+    return supporting_hyperplanes(X, combos)
+
+
+def _plane_keys(combos, n, variant):
+    """Candidate-order keys of variant ``variant`` of the hyperplanes of
+    ``combos``: (2, variant, pair) at d = 2 and (1, subset, variant) at
+    d = 3, a triple's subset index following the n singletons and the
+    C(n, 2) pairs in lexicographic order."""
+    if combos.shape[1] == 2:
+        return _keys(2, variant, combos[:, 0] * n + combos[:, 1])
+    i, j, l = combos.T
+    rank = (math.comb(n, 3) - (n - i) * (n - i - 1) * (n - i - 2) // 6
+            + (n - i - 1) * (n - i - 2) // 2 - (n - j) * (n - j - 1) // 2 + l - j - 1)
+    return _keys(1, n + math.comb(n, 2) + rank, variant)
+
+
+def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
+    """d = 2 and 3: the variants of the hyperplane through every d points.
+
+    A hyperplane through the d - 1 points of a pivot turns about them in
+    their rotation plane (``_rotation_plane``). There, seen from the
+    pivot's first point X[i], every other point has a direction, and the
+    candidate through X[l] is the line of X[l]'s direction. Folding the
+    circle at pi gives each line one angle phi in [0, pi] and each point a
+    half, upper or lower, by the sign of its direction's angle. With the
+    points sorted by phi, those on the positive side of the candidate's
+    normal n_l = (-sin phi_l, cos phi_l) are the later points of the upper
+    half and the earlier points of the lower half; so one prefix sum of
+    (upper XOR label) counts the mistakes of every candidate with that side
+    inside. Each candidate is counted once, from its first d - 1 points as
+    the pivot.
+
+    Point k's side settles its membership unless it lies within half its
+    margin of the candidate, which needs phi_l within w_k = margin_k / r_k
+    of phi_k, modulo pi, r_k being X[k]'s distance from the pivot's affine
+    hull. Candidates that such a window reaches are crowded, and scored
+    against every point. A point with w_k >= 0.5 crowds every candidate of
+    its pivot, as does at d = 3 a pair closer than RANK_TOL * scale.
+    Outside every window X[k] lies at least (2/pi) margin_k =
+    1.27 (delta + tol_k) from the sweep's plane. The spare
+    0.27 (delta + tol_k) >= 1.09e-9 * scale absorbs the rounding of the
+    angles and of the membership test, a few ulps of scale each, and at
+    d = 3 the stray of the row from the sweep's plane.
+
+    At d = 3 the row W is Gram-Schmidt on the centred triple
+    (``supporting_hyperplanes``), not n_l. Let n be the exact normal of
+    the triple and h = |u| r_l twice its area. The frame is orthonormal
+    and normal to u within a few eps, and X[l]'s coordinates err by at
+    most 4 eps scale, its angle by at most 6 eps scale / r_l, so n_l lies
+    within 40 eps scale / r_l <= 80 eps scale^2 / h of +-n.
+    Centring errs by 3 eps scale per coordinate, and the centred triple's
+    smaller singular value is at least h / (4 scale), as the two multiply
+    to h / sqrt(3) and the larger is at most 2.31 scale, so the projector
+    onto the complement of the computed span, two-pass rounding included,
+    errs by at most 64 eps scale^2 / h. Both stay under
+    eta = _ROW_ERROR * scale^2 / h. The residual of axis a, exactly n[a] n,
+    errs by at most eta, so its norm is within 2 eta of |n_l[a]|. With
+    eta <= RANK_TOL / 4, an axis with |n_l[a]| <= RANK_TOL / 2 is passed
+    over, and the first other one is taken, as ``supporting_hyperplanes``
+    takes the first whose residual norm exceeds RANK_TOL, if
+    g = |n_l[a]| - 2 eta > RANK_TOL. The row is then within
+    E = eta + 2 eta / g of +-n_l, and the rank stays 2: the kept
+    directions have residuals of at least h / (4 scale), the third of at
+    most eta * scale. A plane is settled only if E <= _ROW_STRAY: the row
+    then moves a point by at most 2 E scale <= 5e-10 * scale, under half
+    the spare, and holds the triple within that of its boundary, well
+    inside delta - tol, so the triple counts as on it. The other planes
+    are crowded: a third point near the pivot axis, a rank-deficient
+    triple or near-coincident pivots (h small), or a normal whose first
+    components are near RANK_TOL (g small).
+
+    The variants are formed only for candidates whose best variant,
+    min(a, off - a) + min(on1, on0), reaches the running minimum; their
+    rows come from ``_plane_rows`` and their orientation from the sign of
+    W . n_l. Pivots run in chunks, so memory stays O(chunk * n).
     """
     X = best.X
-    y = best.y.astype(np.int64)
+    y = best.y.astype(bool)
     n = X.shape[0]
-    m = n - 1
+    m = n - dim + 1          # points off the pivot
+    off = m - 1              # points off a candidate
     margin = _margins(X, delta)
+    pivots = _combinations(n - 1, dim - 1)
     cols = np.arange(m)
     step = max(1, _CHUNK_ENTRIES // (8 * n))
-    for lo in range(0, m, step):
-        piv = np.arange(lo, min(m, lo + step))
-        c = piv.size
-        others = cols + (cols >= piv[:, None])
-        theta = np.arctan2(X[others, 1] - X[piv, 1, None], X[others, 0] - X[piv, 0, None])
-        order = np.argsort(theta, axis=1)
-        theta = np.take_along_axis(theta, order, axis=1)
-        k = np.take_along_axis(others, order, axis=1)
-        dx = X[k, 0] - X[piv, 0, None]
-        dy = X[k, 1] - X[piv, 1, None]
-        r = np.sqrt(dx * dx + dy * dy)  # the norm of X[k] - X[i], bit for bit
 
-        # every pivot's doubled circle in one sorted flat array: row shifts
-        # of 16 keep the rows apart, and the slack covers their rounding
-        circle = np.concatenate([theta, theta + 2 * np.pi], axis=1)
-        shift = 16.0 * np.arange(c)[:, None]
-        flat = (circle + shift).ravel()
-        slack = 1e-12 + 8 * np.spacing(16.0 * c + 4 * np.pi)
-        opposite = theta + np.pi
-        far = np.searchsorted(flat, (opposite + shift).ravel()).reshape(c, m)
-        far -= 2 * m * np.arange(c)[:, None]
+    def score_crowds(combos):
+        best.score(*_variants(*_plane_rows(X, combos), delta),
+                   _plane_keys(np.tile(combos, (4, 1)), n, np.repeat(np.arange(4), len(combos))))
 
-        # angular windows; only the few that reach another point are placed
+    crowds, waiting = [], 0  # crowded candidates, scored a chunk's worth at a time
+    for lo in range(0, pivots.shape[0], step):
+        piv = pivots[lo:lo + step]
+        c = piv.shape[0]
+        p, q, frame, rho = _rotation_plane(X, piv)
+        theta = np.arctan2(q, p)
+        theta[np.arange(c)[:, None], piv] = np.inf  # the pivot sorts last
+        k = np.argsort(np.where(theta < 0, theta + np.pi, theta), axis=1)[:, :m]
+        theta = np.take_along_axis(theta, k, axis=1)
+        upper = theta >= 0
+        phi = np.where(upper, theta, theta + np.pi)
+        r = np.sqrt(p * p + q * q)  # the norm of (p, q), bit for bit
+        stray = None if rho is None else _row_strays(p, q, r, frame, rho, scale)
+        r = np.take_along_axis(r, k, axis=1)
+
+        # angular windows; only the few that reach a neighbour are placed,
+        # on every pivot's doubled half circle in one sorted flat array: row
+        # shifts of 16 keep the rows apart, and the slack covers their rounding
         with np.errstate(divide="ignore"):
             w = margin[k] / r
-        crowded = np.repeat(np.any(w >= 0.5, axis=1)[:, None], m, axis=1)
-        w += slack
-        gap = np.diff(circle[:, :m + 1], axis=1)
-        own = (np.minimum(gap, np.roll(gap, 1, axis=1)) <= w) & ~crowded
-        opp = (np.minimum(np.take_along_axis(circle, far, axis=1) - opposite,
-                          opposite - np.take_along_axis(circle, far - 1, axis=1))
-               <= w) & ~crowded
-        if own.any() or opp.any():
-            start = np.concatenate([theta[own] - w[own], opposite[opp] - w[opp]])
-            start[start < -np.pi] += 2 * np.pi
-            start[start >= np.pi] -= 2 * np.pi
-            start += np.concatenate([shift[:, 0][np.nonzero(own)[0]],
-                                     shift[:, 0][np.nonzero(opp)[0]]])
-            width = 2 * np.concatenate([w[own], w[opp]])
+        hull = np.any(w >= 0.5, axis=1)
+        if rho is not None:
+            hull |= rho <= RANK_TOL * scale
+        w += 1e-12 + 8 * np.spacing(16.0 * c + 2 * np.pi)
+        gap = np.empty((c, m))
+        np.subtract(phi[:, 1:], phi[:, :-1], out=gap[:, :-1])
+        gap[:, -1] = phi[:, 0] + np.pi - phi[:, -1]
+        own = np.minimum(gap, np.roll(gap, 1, axis=1)) <= w
+        own[hull] = False
+        crowded = np.repeat(hull[:, None], m, axis=1)
+        if own.any():
+            shift = 16.0 * np.arange(c)
+            flat = (np.concatenate([phi, phi + np.pi], axis=1) + shift[:, None]).ravel()
+            start = phi[own] - w[own]
+            start[start < 0] += np.pi
+            start += shift[np.nonzero(own)[0]]
             cover = np.cumsum(
                 np.bincount(np.searchsorted(flat, start), minlength=flat.size + 1)
-                - np.bincount(np.searchsorted(flat, start + width, side="right"),
+                - np.bincount(np.searchsorted(flat, start + 2 * w[own], side="right"),
                               minlength=flat.size + 1))[:-1].reshape(c, 2 * m)
             crowded |= cover[:, :m] + cover[:, m:] - own > 0
 
-        # label counts: strictly left of each ray is the half turn after it
+        line = k > piv[:, -1:]
+        if dim == 2:
+            line &= r > RANK_TOL * scale  # coincident pairs repeat the singleton rows
+        else:
+            crowded |= np.take_along_axis(stray, k, axis=1)
+
+        # mistakes off the candidate with the positive side of n_l inside,
+        # the 0-labels on that side and the 1-labels on the other: a later
+        # point errs when upper XOR label, an earlier one when not
         lab = y[k]
-        ones = np.zeros((c, 2 * m + 1), dtype=np.int64)
-        np.cumsum(np.concatenate([lab, lab], axis=1), axis=1, out=ones[:, 1:])
-        left1 = np.take_along_axis(ones, far, axis=1) - ones[:, 1:m + 1]
-        # mistakes off the line with its left side inside: the 0-labels
-        # left of it plus the 1-labels right of it
-        a = (far - cols - 1) - 2 * left1 + ones[:, m:m + 1] - lab
+        z = upper ^ lab
+        before = np.cumsum(z, axis=1)
+        a = before[:, -1:] + z - 2 * before + cols
+        on1 = y[piv].sum(axis=1)[:, None] + lab
 
-        line = (k > piv[:, None]) & (r > RANK_TOL * scale)
-        ii = np.broadcast_to(piv[:, None], (c, m))
         clean = line & ~crowded
-        ci, cj, d = ii[clean], k[clean], dy[clean] / r[clean]
-        # the normal is the left normal of X[j] - X[i], negated when its
-        # leading component is negative
-        flip = np.where(np.abs(d) > 1e-12, -d, dx[clean] / r[clean]) < 0
-        a = np.where(flip, n - 2 - a[clean], a[clean])
-        on1 = lab[clean] + y[ci]
-        counts = _variant_mistakes(a, n - 2, 2 - on1, on1)
+        if clean.any():
+            lower = np.minimum(a, off - a) + np.minimum(on1, dim - on1)
+            low = int(lower[clean].min())
+            if best.count is None or low <= best.count:
+                ci, cj = np.nonzero(clean & (lower == low))
+                combos = np.column_stack([piv[ci], k[ci, cj]])
+                W, w0 = _plane_rows(X, combos)
+                flip = np.einsum("ij,ij->i", W, np.cos(phi[ci, cj, None]) * frame[ci, 1]
+                                 - np.sin(phi[ci, cj, None]) * frame[ci, 0]) < 0
+                counts = _variant_mistakes(np.where(flip, off - a[ci, cj], a[ci, cj]), off,
+                                           dim - on1[ci, cj], on1[ci, cj])
 
-        def rows(mask):
-            variant, at = np.nonzero(mask.reshape(4, -1))
-            W, w0 = _pair_hyperplanes(X, ci[at], cj[at])
-            W, w0 = _variant_rows(W, w0, variant, delta)
-            return W, w0, _keys(2, variant, ci[at] * n + cj[at])
+                def rows(mask):
+                    variant, at = np.nonzero(mask.reshape(4, -1))
+                    return (*_variant_rows(W[at], w0[at], variant, delta),
+                            _plane_keys(combos[at], n, variant))
 
-        best.offer(counts.ravel(), rows)
-        ai, aj = ii[line & crowded], k[line & crowded]
-        W, w0 = _pair_hyperplanes(X, ai, aj)
-        best.score(*_variants(W, w0, delta),
-                   _keys(2, np.repeat(np.arange(4), ai.size), np.tile(ai * n + aj, 4)))
+                best.offer(counts.ravel(), rows)
+        ci, cj = np.nonzero(line & crowded)
+        crowds.append(np.column_stack([piv[ci], k[ci, cj]]))
+        waiting += ci.size
+        if waiting >= step * m:
+            score_crowds(np.concatenate(crowds))
+            crowds, waiting = [], 0
+    if waiting:
+        score_crowds(np.concatenate(crowds))
 
 
 def erm_halfspace(S_prime: LabeledSample, dim: int):
     """Exact empirical-risk-minimizing halfspace over the candidate set
     above; ties broken by lexicographic (w, w0).
 
-    O(n log n) at d = 1 and O(n^2 log n) at d = 2, plus O(n) per crowded
-    candidate; at d >= 3 every candidate is scored against every point.
+    O(n log n) at d = 1, O(n^2 log n) at d = 2 and O(n^3 log n) at d = 3,
+    by one sort (d = 1) or one angular sort per pivot (``_erm_sweep``),
+    plus O(n) per candidate scored against every point: the singletons
+    (d >= 2), the pairs (d = 3, O(n^3) in all) and the crowded
+    hyperplanes. At d >= 4 every candidate is scored against every point,
+    O(n^(d+1)). Refuses a ``dim`` below 1 or other than the sample's.
     """
     if S_prime.n == 0:
         raise EmptySampleError("empty sample")
+    if dim < 1 or dim != S_prime.dim:
+        raise DimensionMismatch(f"points have dimension {S_prime.dim}, expected dim {dim}")
     X = S_prime.X
     n = X.shape[0]
     scale = 1.0 + float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
@@ -874,20 +1028,20 @@ def erm_halfspace(S_prime: LabeledSample, dim: int):
     best.score(np.vstack([e1, e1]),
                np.array([float(proj.min()) - scale, float(proj.max()) + scale]),
                _keys(0, 0, [0, 1]))
-    if dim == 1:
+    if dim <= 2:
+        # the thresholds, and at d = 2 the singletons: normal e1 through a point
         _erm_thresholds(best, delta)
-    elif dim == 2:
-        # singletons: deterministic rule gives normal e1 through the point
-        best.score(*_variants(np.tile(e1, (n, 1)), X[:, 0].copy(), delta),
-                   _keys(1, np.repeat(np.arange(4), n), np.tile(np.arange(n), 4)))
-        _erm_lines(best, scale, delta)
     else:
+        # every subset the sweep does not count: below size 3 at d = 3
+        top = 2 if dim == 3 else dim
         planes = [supporting_hyperplanes(X, _combinations(n, size))
-                  for size in range(1, min(dim, n) + 1)]
+                  for size in range(1, min(top, n) + 1)]
         W, w0 = (np.concatenate(parts) for parts in zip(*planes))
         subset = np.arange(w0.size)
         best.score(*_variants(W, w0, delta),
                    _keys(1, np.tile(subset, 4), np.repeat(np.arange(4), subset.size)))
+    if dim in (2, 3):
+        _erm_sweep(best, scale, delta, dim)
     h, count = best.pick()
     return h, ErrorCount(count, S_prime.n)
 

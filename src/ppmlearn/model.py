@@ -72,7 +72,8 @@ class LabeledSample:
     """Ordered labeled examples (no privacy bits), as arrays.
 
     ``indices`` cites each example's position in the parent dataset so that
-    derived structures stay traceable to the original order.
+    derived structures stay traceable to the original order. Coordinates
+    must be finite and labels 0/1, as in ``PPMDataset``.
     """
 
     X: np.ndarray
@@ -85,6 +86,8 @@ class LabeledSample:
         idx = np.array(np.asarray(self.indices, dtype=np.int64))
         if X.ndim != 2:
             raise ValueError("X must be 2-d")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("coordinates must be finite")
         if y.shape != (X.shape[0],) or idx.shape != (X.shape[0],):
             raise ValueError("y/indices lengths must match X")
         if y.size and y.max() > 1:

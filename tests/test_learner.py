@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ppmlearn.geometry import Halfspace
+from ppmlearn.geometry import DimensionMismatch, Halfspace
 import ppmlearn.learner as learner
 import ppmlearn.privacy as privacy
 from ppmlearn.learner import (
@@ -211,12 +211,24 @@ def test_family_pairs_adjacent_exact_negations():
 def test_negative_pool_cap_is_refused():
     X = np.arange(14, dtype=float).reshape(-1, 1)
     ds = PPMDataset(dim=1, X=X, y=np.zeros(14, dtype=int), p=np.zeros(14, dtype=int))
-    with pytest.raises(ValueError, match="pool_cap must be >= 0"):
+    with pytest.raises(ValueError, match="pool_cap must be >= 1"):
         construct_halfspace_family(labeled(X, [0] * 14), 1, pool_cap=-5)
-    with pytest.raises(ValueError, match="pool_cap must be >= 0"):
+    with pytest.raises(ValueError, match="pool_cap must be >= 1"):
         learn_half(ds, 1.0, pool_cap=-5)
-    # a cap of 0 stays a valid, empty pool
-    assert construct_halfspace_family(labeled(X, [0] * 14), 1, pool_cap=0).size == 0
+    # a cap of 0 would build an empty family, a class of one hypothesis
+    with pytest.raises(ValueError):
+        construct_halfspace_family(labeled(X, [0] * 14), 1, pool_cap=0)
+
+
+def test_zero_pool_cap_is_refused_before_any_work(monkeypatch):
+    # the library spells uncapped None; SweepConfig and the CLI map their 0 to it
+    X = np.arange(14, dtype=float).reshape(-1, 1)
+    ds = PPMDataset(dim=1, X=X, y=np.zeros(14, dtype=int), p=np.zeros(14, dtype=int))
+    with pytest.raises(ValueError, match="None means uncapped"):
+        learner.check_pool_budget(14, 1, 0, DEFAULT_HYPOTHESIS_BUDGET)
+    monkeypatch.setattr(learner, "construct_halfspace_family", None)  # never reached
+    with pytest.raises(ValueError, match="None means uncapped"):
+        learn_half(ds, 1.0, pool_cap=0)
 
 
 # --- class enumeration -----------------------------------------------------------
@@ -617,6 +629,19 @@ def test_erm_empty_sample():
         erm_halfspace(labeled(np.zeros((0, 1)), []), 1)
 
 
+@pytest.mark.parametrize("dim", [0, -1, 1, 3])
+def test_erm_refuses_a_dim_other_than_the_samples(dim):
+    s = labeled([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]], [1, 0, 1])
+    with pytest.raises(DimensionMismatch):
+        erm_halfspace(s, dim)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_labeled_sample_refuses_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        labeled([[0.0, 1.0], [bad, 0.0]], [1, 0])
+
+
 def assert_erm_matches_brute_force(X, y, dim):
     """Same mistakes and a bit-identical halfspace as scoring every
     candidate against every point."""
@@ -643,10 +668,10 @@ def near_line(rng, a, b, offset):
     return a + rng.uniform(-1.0, 2.0) * (b - a) + offset * normal
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_erm_matches_brute_force_on_random_samples(dim):
     rng = np.random.default_rng(40 + dim)
-    for n in range(1, 81):
+    for n in range(1, 81 if dim < 3 else 31):
         X = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
         y = rng.integers(0, 2, n)
         mistakes = assert_erm_matches_brute_force(X, y, dim)
@@ -654,12 +679,13 @@ def test_erm_matches_brute_force_on_random_samples(dim):
             assert mistakes == erm_1d_mistakes(X[:, 0], y)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_erm_matches_brute_force_on_integer_grids(dim):
-    # duplicates, collinear triples and axis-parallel lines
+    # duplicates, collinear triples, coplanar quadruples and axis-parallel
+    # lines and planes
     rng = np.random.default_rng(43 + dim)
     for trial in range(60):
-        n = int(rng.integers(2, 50))
+        n = int(rng.integers(2, 50 if dim < 3 else 25))
         X = rng.integers(-3, 4, (n, dim)) * (0.25, 1.0, 1000.0)[trial % 3]
         y = rng.integers(0, 2, n)
         mistakes = assert_erm_matches_brute_force(X, y, dim)
@@ -699,11 +725,31 @@ def test_erm_matches_brute_force_near_collinear():
         apart = rng.choice([-1.0, 1.0], (m, 1)) * 10.0 ** rng.uniform(-11, -7, (m, 1))
         x[n // 2:] = x[:m] + apart
         assert_erm_matches_brute_force(x, y, 1)
+    # d = 3: fourth points that far off the plane of three others, and
+    # third points that far off the line through two others
+    rng = np.random.default_rng(146)
+    for trial in range(30):
+        n = int(rng.integers(4, 26))
+        X = rng.standard_normal((n, 3)) * 2.0
+        for _ in range(n // 2):
+            i, j, l, k = rng.choice(n, 4, replace=False)
+            normal = np.cross(X[j] - X[i], X[l] - X[i])
+            offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11, -7)
+            s, t = rng.uniform(-1.0, 2.0, 2)
+            X[k] = (X[i] + s * (X[j] - X[i]) + t * (X[l] - X[i])
+                    + offset * normal / np.linalg.norm(normal))
+        if trial % 3 == 0:
+            i, j, k = rng.choice(n, 3, replace=False)
+            off_line = rng.standard_normal(3)
+            X[k] = (X[i] + rng.uniform(-1.0, 2.0) * (X[j] - X[i])
+                    + 10.0 ** rng.uniform(-11, -7) * off_line / np.linalg.norm(off_line))
+        assert_erm_matches_brute_force(X, rng.integers(0, 2, n), 3)
 
 
 def test_erm_matches_brute_force_near_coincident_pairs():
     # pairs closer than RANK_TOL * scale are no line and fall back to the
     # singleton rule; slightly wider pairs are lines with a shaky normal
+    # (d = 2) or pivots with a shaky rotation plane (d = 3)
     rng = np.random.default_rng(47)
     for trial in range(60):
         n = int(rng.integers(2, 40))
@@ -712,9 +758,18 @@ def test_erm_matches_brute_force_near_coincident_pairs():
         gap = 10.0 ** rng.uniform(-13, -8, (k, 1))
         X[:k] = X[n - k:] + gap * rng.standard_normal((k, 2))
         assert_erm_matches_brute_force(X, rng.integers(0, 2, n), 2)
+    # d = 3: pivot pairs closer than RANK_TOL * scale, and slightly wider
+    rng = np.random.default_rng(147)
+    for trial in range(30):
+        n = int(rng.integers(3, 26))
+        X = rng.standard_normal((n, 3))
+        k = max(1, n // 3)
+        gap = 10.0 ** rng.uniform(-13, -8, (k, 1))
+        X[:k] = X[n - k:] + gap * rng.standard_normal((k, 3))
+        assert_erm_matches_brute_force(X, rng.integers(0, 2, n), 3)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_erm_matches_brute_force_on_single_label_samples(dim):
     rng = np.random.default_rng(48 + dim)
     for n in (1, 2, 3, 7, 30):
