@@ -764,7 +764,7 @@ def _erm_thresholds(best: _Minimizers, delta: float) -> None:
                _keys(1, np.repeat(np.arange(4), i.size), np.tile(i, 4)))
 
 
-# the error bound of a d = 3 row, in units of scale^2 / h, and the largest
+# the error bound of a d = 3 row, per unit of scale^2 / h, and the largest
 # stray of a row from its sweep plane that the margins absorb (``_erm_sweep``)
 _ROW_ERROR = 128 * np.finfo(float).eps
 _ROW_STRAY = 2.5e-10
@@ -799,25 +799,6 @@ def _rotation_plane(X, piv):
     pq = (frame.reshape(2 * c, 3) @ X.T).reshape(c, 2, -1)
     pq -= np.einsum("cst,ct->cs", frame, base)[:, :, None]
     return pq[:, 0], pq[:, 1], frame, rho
-
-
-def _row_strays(p, q, r, frame, rho, scale):
-    """d = 3: the candidates whose row may stray from the sweep's plane by
-    more than _ROW_STRAY, as a (c, n) mask over ``_rotation_plane``'s
-    points (``_erm_sweep`` argues the bound)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = (_ROW_ERROR * scale * scale) / (rho[:, None] * r)
-        # |n_l[a]| for the axis a that Gram-Schmidt takes: the first with
-        # |n_l[a]| > RANK_TOL / 2, in practice axis 0
-        t = np.abs(p * frame[:, 1, 0, None] - q * frame[:, 0, 0, None]) / r
-        rare = np.nonzero(t <= RANK_TOL / 2)
-        if rare[0].size:
-            n_l = (p[rare][:, None] * frame[rare[0], 1]
-                   - q[rare][:, None] * frame[rare[0], 0]) / r[rare][:, None]
-            t[rare] = np.where(np.abs(n_l[:, 1]) > RANK_TOL / 2, np.abs(n_l[:, 1]),
-                               np.abs(n_l[:, 2]))
-        g = t - 2 * eta
-        return ~((eta <= RANK_TOL / 4) & (g > RANK_TOL) & (eta + 2 * eta / g <= _ROW_STRAY))
 
 
 def _plane_rows(X, combos):
@@ -874,27 +855,24 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
     the triple and h = |u| r_l twice its area. The frame is orthonormal
     and normal to u within a few eps, and X[l]'s coordinates err by at
     most 4 eps scale, its angle by at most 6 eps scale / r_l, so n_l lies
-    within 40 eps scale / r_l <= 80 eps scale^2 / h of +-n.
-    Centring errs by 3 eps scale per coordinate, and the centred triple's
-    smaller singular value is at least h / (4 scale), as the two multiply
-    to h / sqrt(3) and the larger is at most 2.31 scale, so the projector
-    onto the complement of the computed span, two-pass rounding included,
-    errs by at most 64 eps scale^2 / h. Both stay under
-    eta = _ROW_ERROR * scale^2 / h. The residual of axis a, exactly n[a] n,
-    errs by at most eta, so its norm is within 2 eta of |n_l[a]|. With
-    eta <= RANK_TOL / 4, an axis with |n_l[a]| <= RANK_TOL / 2 is passed
-    over, and the first other one is taken, as ``supporting_hyperplanes``
-    takes the first whose residual norm exceeds RANK_TOL, if
-    g = |n_l[a]| - 2 eta > RANK_TOL. The row is then within
-    E = eta + 2 eta / g of +-n_l, and the rank stays 2: the kept
-    directions have residuals of at least h / (4 scale), the third of at
-    most eta * scale. A plane is settled only if E <= _ROW_STRAY: the row
-    then moves a point by at most 2 E scale <= 5e-10 * scale, under half
-    the spare, and holds the triple within that of its boundary, well
-    inside delta - tol, so the triple counts as on it. The other planes
-    are crowded: a third point near the pivot axis, a rank-deficient
-    triple or near-coincident pivots (h small), or a normal whose first
-    components are near RANK_TOL (g small).
+    within 40 eps scale / r_l <= 80 eps scale^2 / h of +-n. Centring errs
+    by 3 eps scale per coordinate, and the centred triple's smaller
+    singular value is at least h / (4 scale), as the two multiply to
+    h / sqrt(3) and the larger is at most 2.31 scale, so the normal of the
+    computed span, two-pass rounding included, lies within
+    64 eps scale^2 / h of +-n. The residual of the axis that Gram-Schmidt
+    takes has a norm above RANK_TOL, and its second pass leaves it normal
+    to that span within a few eps of that norm; so W is within
+    64 eps scale^2 / h + 4 eps of +-n, and within 2 eta of +-n_l, with
+    eta = _ROW_ERROR * scale^2 / h. A plane is settled only if
+    2 eta <= _ROW_STRAY. The row then moves a point by at most
+    2 _ROW_STRAY scale = 5e-10 * scale, under half the spare, and holds
+    the triple within that of its boundary, well inside delta - tol, so
+    the triple counts as on it. The rank stays 2, as h >= 2.3e-4 scale^2:
+    the kept directions have residuals of at least h / (4 scale), and the
+    third, at most 3 eps scale + eta max|V|, stays under
+    RANK_TOL (1 + max|V|). The other planes are crowded: a third point
+    near the pivot axis, a rank-deficient triple or near-coincident pivots.
 
     The variants are formed only for candidates whose best variant,
     min(a, off - a) + min(on1, on0), reaches the running minimum; their
@@ -926,9 +904,7 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
         theta = np.take_along_axis(theta, k, axis=1)
         upper = theta >= 0
         phi = np.where(upper, theta, theta + np.pi)
-        r = np.sqrt(p * p + q * q)  # the norm of (p, q), bit for bit
-        stray = None if rho is None else _row_strays(p, q, r, frame, rho, scale)
-        r = np.take_along_axis(r, k, axis=1)
+        r = np.take_along_axis(np.sqrt(p * p + q * q), k, axis=1)
 
         # angular windows; only the few that reach a neighbour are placed,
         # on every pivot's doubled half circle in one sorted flat array: row
@@ -961,7 +937,8 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
         if dim == 2:
             line &= r > RANK_TOL * scale  # coincident pairs repeat the singleton rows
         else:
-            crowded |= np.take_along_axis(stray, k, axis=1)
+            # planes whose row may stray too far from the sweep's plane
+            crowded |= rho[:, None] * r < (2 * _ROW_ERROR / _ROW_STRAY) * scale * scale
 
         # mistakes off the candidate with the positive side of n_l inside,
         # the 0-labels on that side and the 1-labels on the other: a later

@@ -662,6 +662,60 @@ def test_erm_d3_matches_per_subset_candidates():
         assert_erm_matches_brute_force(X, rng.integers(0, 2, n), 3)
 
 
+def test_erm_d3_settled_rows_stay_near_the_sweep_plane():
+    # the bound that lets the d = 3 sweep count a plane's sides in its own
+    # frame: where twice the triangle's area h is at least
+    # 2 _ROW_ERROR / _ROW_STRAY scale^2, the Gram-Schmidt row lies within
+    # _ROW_STRAY of the sweep's normal, whatever the axis it is built on
+    rng = np.random.default_rng(150)
+    worst = 0.0
+    for trial in range(40):
+        n = 12
+        X = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-2, 2)
+        if trial % 4 == 1:  # near-collinear triples
+            for _ in range(4):
+                i, j, k = rng.choice(n, 3, replace=False)
+                X[k] = (X[i] + rng.uniform(-1.0, 2.0) * (X[j] - X[i])
+                        + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(3))
+        if trial % 4 == 2:  # normals with a first component near RANK_TOL
+            X[:, 0] = 10.0 ** rng.uniform(-9.9, -4) * rng.standard_normal(n)
+        if trial % 4 == 3:  # a small cloud far from the origin
+            X = rng.standard_normal((n, 3)) * 1e-2 + 100.0 * rng.standard_normal(3)
+        scale = 1.0 + np.linalg.norm(X, axis=1).max()
+        piv = learner._combinations(n - 1, 2)
+        p, q, frame, rho = learner._rotation_plane(X, piv)
+        i, l = np.nonzero(np.arange(n) > piv[:, 1:])
+        p, q = p[i, l], q[i, l]
+        r = np.sqrt(p * p + q * q)
+        settled = rho[i] * r >= 2 * learner._ROW_ERROR / learner._ROW_STRAY * scale ** 2
+        i, l, p, q = i[settled], l[settled], p[settled], q[settled]
+        theta = np.arctan2(q, p)
+        phi = np.where(theta < 0, theta + np.pi, theta)[:, None]
+        n_l = np.cos(phi) * frame[i, 1] - np.sin(phi) * frame[i, 0]
+        W, _ = learner.supporting_hyperplanes(X, np.column_stack([piv[i], l]))
+        stray = np.minimum(np.linalg.norm(W - n_l, axis=1), np.linalg.norm(W + n_l, axis=1))
+        worst = max(worst, float(stray.max(initial=0.0)))
+    assert worst <= learner._ROW_STRAY
+
+
+def test_erm_d3_scores_thin_triangles_row_by_row(monkeypatch):
+    # X[2] lies 1e-6 off the line through X[0] and X[1]: outside its margin
+    # of the pivot axis, but the plane's row may stray from the sweep's
+    # plane by more than the margins absorb, so it is scored point by point
+    rng = np.random.default_rng(151)
+    X = rng.standard_normal((9, 3)) * 2.0
+    off_line = np.cross(X[1] - X[0], [0.0, 0.0, 1.0])
+    X[2] = X[0] + 0.4 * (X[1] - X[0]) + 1e-6 * off_line / np.linalg.norm(off_line)
+    scored = []
+    score = learner._Minimizers.score
+    monkeypatch.setattr(learner._Minimizers, "score", lambda self, W, w0, keys: (
+        scored.append(keys), score(self, W, w0, keys))[1])
+    y = rng.integers(0, 2, 9)
+    assert_erm_matches_brute_force(X, y, 3)
+    triple = 9 + math.comb(9, 2)  # the subset index of (0, 1, 2)
+    assert any(np.any(keys[:, 1] == triple) for keys in scored)
+
+
 def near_line(rng, a, b, offset):
     """A point on the line through a and b, moved ``offset`` off it."""
     normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
