@@ -603,12 +603,13 @@ def unrank_hypothesis(rank: int, family_size: int, dim: int) -> IntersectionHypo
 # subset of size <= d, its supported hyperplane in four variants: both
 # orientations, and the boundary nudged by -delta and by +delta. Below
 # d = 4 the variants are counted from the sides the points lie on, after
-# one sort (d = 1) or one angular sort per pivot (d = 2 and 3,
-# ``_erm_sweep``). Rows whose counts the sides cannot settle are scored
-# against every point instead: the constants, the singletons (d >= 2),
-# the pairs (d = 3), every hyperplane with another point inside that
-# point's margin and, at d = 3, every plane whose row may stray too far
-# from the sweep's plane. At d >= 4 every candidate is scored that way.
+# one sort (d = 1, and the singletons at d = 2) or one angular sort per
+# pivot (d = 2 and 3, ``_erm_sweep``). Rows whose counts the sides cannot
+# settle are scored against every point instead: the constants, the
+# singletons and pairs at d = 3, every hyperplane with another point
+# inside that point's margin and, at d = 3, every plane whose row may
+# stray too far from the sweep's plane. At d >= 4 every candidate is
+# scored that way.
 
 
 def _variants(W, w0, delta):
@@ -888,12 +889,6 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
     pivots = _combinations(n - 1, dim - 1)
     cols = np.arange(m)
     step = max(1, _CHUNK_ENTRIES // (8 * n))
-
-    def score_crowds(combos):
-        best.score(*_variants(*_plane_rows(X, combos), delta),
-                   _plane_keys(np.tile(combos, (4, 1)), n, np.repeat(np.arange(4), len(combos))))
-
-    crowds, waiting = [], 0  # crowded candidates, scored a chunk's worth at a time
     for lo in range(0, pivots.shape[0], step):
         piv = pivots[lo:lo + step]
         c = piv.shape[0]
@@ -969,13 +964,10 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
 
                 best.offer(counts.ravel(), rows)
         ci, cj = np.nonzero(line & crowded)
-        crowds.append(np.column_stack([piv[ci], k[ci, cj]]))
-        waiting += ci.size
-        if waiting >= step * m:
-            score_crowds(np.concatenate(crowds))
-            crowds, waiting = [], 0
-    if waiting:
-        score_crowds(np.concatenate(crowds))
+        if ci.size:
+            combos = np.column_stack([piv[ci], k[ci, cj]])
+            best.score(*_variants(*_plane_rows(X, combos), delta),
+                       _plane_keys(np.tile(combos, (4, 1)), n, np.repeat(np.arange(4), ci.size)))
 
 
 def erm_halfspace(S_prime: LabeledSample, dim: int):
@@ -983,11 +975,12 @@ def erm_halfspace(S_prime: LabeledSample, dim: int):
     above; ties broken by lexicographic (w, w0).
 
     O(n log n) at d = 1, O(n^2 log n) at d = 2 and O(n^3 log n) at d = 3,
-    by one sort (d = 1) or one angular sort per pivot (``_erm_sweep``),
-    plus O(n) per candidate scored against every point: the singletons
-    (d >= 2), the pairs (d = 3, O(n^3) in all) and the crowded
-    hyperplanes. At d >= 4 every candidate is scored against every point,
-    O(n^(d+1)). Refuses a ``dim`` below 1 or other than the sample's.
+    by one sort (d = 1, and the singletons at d = 2) or one angular sort
+    per pivot (``_erm_sweep``), plus O(n) per candidate scored against
+    every point: the singletons and pairs at d = 3, O(n^3) in all, and the
+    crowded hyperplanes. At d >= 4 every candidate is scored against every
+    point, O(n^(d+1)). Refuses a ``dim`` below 1 or other than the
+    sample's.
     """
     if S_prime.n == 0:
         raise EmptySampleError("empty sample")
