@@ -11,13 +11,15 @@ threshold: one sort of the sample and two binary searches per member count
 the points on each side, and only the points near a threshold are tested
 one by one, O((F + n) log n). At d >= 2 the members come in lines
 (``HalfspaceFamily.line``), a line's plus orientation and its exact
-negation (``sign`` 0 and 1). Membership is taken once per line, and the
-counts of both orientations follow by inclusion-exclusion from one GEMM
-over line rows and small products over the points on a line: pairs cost
-(F/2)^2 * n / 2 multiply-adds, not F^2 * n / 2. Every value formed is an
-integer of magnitude at most 4n; the products run in float32, exact while
-4n <= 2^24, and in float64 beyond. Counts are stored as uint16 while
-n < 65,536 and as uint32 beyond.
+negation (``sign`` 0 and 1). Membership is taken once per line, as a
+matrix of lines by points with the 1-labels first, and the counts
+of both orientations follow by inclusion-exclusion from one symmetric
+product per label (numpy runs them as syrk) and small products over the
+points on a line: pairs cost (F/2)^2 * n / 2 multiply-adds, not
+F^2 * n / 2. Every value formed is an integer of magnitude at most 4n;
+the products run in float32, exact while 4n <= 2^24, and in float64
+beyond. Counts are stored as uint16 while n < 65,536 and as uint32
+beyond.
 """
 
 from __future__ import annotations
@@ -292,7 +294,7 @@ def construct_halfspace_family(S_pub: LabeledSample, dim: int,
     W, w0, sources = np.concatenate(Ws), np.concatenate(w0s), np.concatenate(srcs)
     kept = dedup_rows(np.column_stack([W, w0]))
     return HalfspaceFamily(W[kept], w0[kept], sources[kept], affine_span(X, dim),
-                           tuple(int(i) for i in idx), dim)
+                           tuple(idx.tolist()), dim)
 
 
 def enumerate_class(family: HalfspaceFamily, dim: int) -> ClassG:
@@ -341,32 +343,44 @@ def hypothesis_error(g: IntersectionHypothesis, family: HalfspaceFamily,
 
 
 def _membership(family: HalfspaceFamily, X: np.ndarray, dtype):
-    """Membership at d >= 2 of points X, all in the public span.
+    """Membership at d >= 2 of points X, all in the public span, lines by
+    points.
 
-    One signed value s = W . x - w0 per (point, line), for the first
+    One signed value s = W . x - w0 per (line, point), for the first
     member (W, w0) of the line, its plus orientation
     (``HalfspaceFamily.line_planes``). It holds x when s >= -tol,
     tol = MEM_TOL * (1 + |x|), and the minus orientation, its exact
-    negation, holds x when s <= tol: the test that
-    ``predict_many`` makes. Returns the (n, L) 0/1 matrix Z of the plus
-    orientations and the points on some line (|s| <= tol), which both
-    orientations of that line hold: their indices, ascending, and their
-    (k, L) 0/1 on-line rows E. d = 1 counts thresholds instead
-    (``_threshold_excess``).
+    negation, holds x when s <= tol: the test that ``predict_many`` makes.
+    Returns the (L, n) 0/1 matrix Z of the plus orientations and the
+    points on some line, which both orientations of that line hold: their
+    indices, ascending, and their (L, k) 0/1 on-line columns E. One
+    product W[lo:hi] @ X.T per chunk of lines, sized so that s stays in
+    L2 (``_CHUNK_ENTRIES / 8`` float64 entries), and two comparison
+    passes over it: s >= -tol gives Z's rows and s > tol the points
+    strictly inside, so a held point not strictly inside is on the line.
+    The few on-line pairs are kept as indices, never as an (L, n) mask.
+    d = 1 counts thresholds instead (``_threshold_excess``).
     """
     W, w0 = family.line_planes
     tol = MEM_TOL * (1.0 + np.sqrt(np.add.reduce(X * X, axis=1)))  # the norm, bit for bit
-    Z = np.empty((X.shape[0], w0.size), dtype=dtype)
-    on = np.empty(Z.shape, dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // max(w0.size, 1))
-    for lo in range(0, X.shape[0], step):
-        signed = X[lo:lo + step] @ W.T
-        signed -= w0
-        t = tol[lo:lo + step, None]
-        np.greater_equal(signed, -t, out=Z[lo:lo + step])
-        np.less_equal(np.abs(signed, out=signed), t, out=on[lo:lo + step])
-    pts = on.any(axis=1).nonzero()[0]
-    return Z, pts, on[pts].astype(dtype)
+    floor = -tol
+    n = X.shape[0]
+    Z = np.empty((w0.size, n), dtype=dtype)
+    on_line = []  # flat (line, point) indices, line-major
+    step = max(1, _CHUNK_ENTRIES // 8 // max(n, 1))
+    for lo in range(0, w0.size, step):
+        signed = W[lo:lo + step] @ X.T
+        signed -= w0[lo:lo + step, None]
+        held = np.greater_equal(signed, floor)
+        Z[lo:lo + step] = held
+        on = np.greater(signed, tol)
+        np.greater(held, on, out=on)  # held and not strictly inside
+        on_line.append(np.flatnonzero(on) + lo * n)
+    line, point = np.divmod(np.concatenate(on_line), n)
+    pts = np.flatnonzero(np.bincount(point, minlength=n))
+    E = np.zeros((w0.size, pts.size), dtype=dtype)
+    E[line, np.searchsorted(pts, point)] = 1
+    return Z, pts, E
 
 
 def _threshold_excess(family: HalfspaceFamily, sample: LabeledSample) -> np.ndarray:
@@ -429,44 +443,63 @@ def _threshold_excess(family: HalfspaceFamily, sample: LabeledSample) -> np.ndar
     return excess
 
 
+def _label_operand(Z):
+    """Z, or Z widened with zero columns to two: numpy runs a product of
+    inner size 0 or 1 outside BLAS, several times slower."""
+    if Z.shape[1] >= 2:
+        return Z
+    wide = np.zeros((Z.shape[0], 2), dtype=Z.dtype)
+    wide[:, :Z.shape[1]] = Z
+    return wide
+
+
 def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles):
-    """Mistake counts, offset by ``base``, over the points of ``Z`` (rows:
-    the n1 1-labels, then the 0-labels): of every member from ``start`` on
-    if ``singles``, then of every pair of them i < j, lexicographic, in
-    blocks. ``slots`` maps the orientation slots of Z's lines, 2l + sign,
-    to member indices (``HalfspaceFamily.slots``).
+    """Mistake counts, offset by ``base``, over the points of ``Z`` (lines
+    by points; columns: the n1 1-labels, then the 0-labels): of every
+    member from ``start`` on if ``singles``, then of every pair of them
+    i < j, lexicographic, in blocks. ``slots`` maps the orientation slots
+    of Z's lines, 2l + sign, to member indices (``HalfspaceFamily.slots``).
 
     Over the points, with +1 per 1-label and -1 per 0-label, the plus
     orientation P_l of line l is a row of Z and the minus orientation is
     1 - P_l + O_l, where O_l, the on-line points, lie in P_l. They come as
-    indices ``pts`` into Z's rows and on-line rows ``E``. With the signed
-    sizes r_l = |P_l|, o_l = |O_l| and A of all
-    points, the signed intersections of the four orientation pairs of
-    lines l and m follow from G = P_l . P_m, the one large GEMM, and the
-    products C = P_l . O_m, C' = O_l . P_m and D = O_l . O_m over the k
-    on-line points:
+    indices ``pts`` into Z's columns and on-line columns ``E``. With the
+    signed sizes r_l = |P_l|, o_l = |O_l| and A of all points, the signed
+    intersections of the four orientation pairs of lines l and m follow
+    from G = P_l . P_m, the one large product, and the products
+    C = P_l . O_m, C' = O_l . P_m and D = O_l . O_m over the k on-line
+    points:
 
         plus-plus    G
         plus-minus   r_l - G + C
         minus-plus   r_m - G + C'
         minus-minus  A - r_l - r_m + o_l + o_m + G - C - C' + D
 
-    Each correction, with its row and column terms as extra rank-one rows,
-    is one small GEMM of inner size at most 2k + 2. Line rows run in chunks
-    against every later line, so only the upper triangle of G is formed.
-    The four blocks are interleaved by slot and the member slots i < j
-    kept. Every partial sum is an integer of magnitude at most 4n, exact
-    in ``Z``'s dtype (``_score_blocks``).
+    G = Z1 Z1^T - Z0 Z0^T, where Z1 and Z0 are the label blocks of Z's
+    columns: two symmetric products, which numpy runs as syrk. A block of
+    fewer than two points gets zero columns (``_label_operand``). G is
+    formed in row strips of at most ``_CHUNK_ENTRIES / 2`` entries, only
+    on and above the diagonal: syrk for the strip's diagonal block, a GEMM
+    for the block to its right. A strip stays in L2 while its blocks are
+    written; taller strips gain little on syrk at large n and lose more
+    on the writes at small n. Each correction, with its row and column
+    terms as extra rank-one rows, is one small GEMM of inner size at
+    most 2k + 2. The four blocks are interleaved by slot, at most
+    ``_CHUNK_ENTRIES`` entries at a time, and the member slots i < j kept.
+    Every partial sum is an integer of magnitude at most 4n, exact in
+    ``Z``'s dtype (``_score_blocks``).
     """
-    L, k = Z.shape[1], pts.size
-    sgn = np.ones(Z.shape[0], dtype=Z.dtype)
+    L, n = Z.shape
+    k = pts.size
+    Z1, Z0 = _label_operand(Z[:, :n1]), _label_operand(Z[:, n1:])
+    sgn = np.ones(n, dtype=Z.dtype)
     sgn[n1:] = -1
-    s = sgn[pts, None]
-    sP = Z[pts] * s
-    r = sgn @ Z
-    o_r = sgn[pts] @ E - r
+    s = sgn[pts]
+    sP = Z[:, pts] * s
+    r = Z @ sgn
+    o_r = E @ s - r
     count_plus = base + r
-    count_minus = o_r + (base + 2 * n1 - Z.shape[0])  # base + A - r + o
+    count_minus = o_r + (base + 2 * n1 - n)  # base + A - r + o
     if singles:
         both = np.concatenate([count_plus[:, None], count_minus[:, None]], axis=1)
         yield both.ravel()[slots >= start]
@@ -475,22 +508,34 @@ def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles):
     # minus.T @ cols = the minus-minus count - G. No inner size is 1,
     # which numpy would not hand to BLAS.
     ones = np.ones((1, L), dtype=Z.dtype)
-    left = np.concatenate([sP, r[None], base * ones, E * s - sP, E, count_minus[None], ones])
-    right = np.concatenate([E, ones, ones, E, -sP, ones, o_r[None]])
+    left = np.concatenate([sP.T, r[None], base * ones, (E * s - sP).T, E.T, count_minus[None],
+                           ones])
+    right = np.concatenate([E.T, ones, ones, E.T, -sP.T, ones, o_r[None]])
     plus, minus, on, cols = left[:k + 2], left[k + 2:], right[:k + 2], right[k + 2:]
     # a row slot outside the members from ``start`` on keeps no column
     row_member = np.where(slots < start, start + slots.size, slots)
+    strip = max(1, _CHUNK_ENTRIES // (2 * L))
     rows = max(1, _CHUNK_ENTRIES // (4 * L))
-    for a in range(0, L, rows):
-        b = min(L, a + rows)
-        G = (Z[:, a:b] * sgn[:, None]).T @ Z[:, a:]
-        out = np.empty((b - a, 2, L - a, 2), dtype=Z.dtype)
-        np.add(G, base, out=out[:, 0, :, 0])
-        np.subtract(plus[:, a:b].T @ on[:, a:], G, out=out[:, 0, :, 1])
-        np.subtract(on[:, a:b].T @ plus[:, a:], G, out=out[:, 1, :, 0])
-        np.add(minus[:, a:b].T @ cols[:, a:], G, out=out[:, 1, :, 1])
-        keep = slots[2 * a:] > row_member[2 * a:2 * b, None]
-        yield out.reshape(2 * (b - a), -1)[keep]
+    for a in range(0, L, strip):
+        b = min(L, a + strip)
+        G = np.empty((b - a, L - a), dtype=Z.dtype)
+        block = G[:, :b - a]
+        np.matmul(Z1[a:b], Z1[a:b].T, out=block)
+        block -= Z0[a:b] @ Z0[a:b].T
+        if b < L:
+            block = G[:, b - a:]
+            np.matmul(Z1[a:b], Z1[b:].T, out=block)
+            block -= Z0[a:b] @ Z0[b:].T
+        for c in range(a, b, rows):
+            e = min(b, c + rows)
+            g = G[c - a:e - a, c - a:]
+            out = np.empty((e - c, 2, L - c, 2), dtype=Z.dtype)
+            np.add(g, base, out=out[:, 0, :, 0])
+            np.subtract(plus[:, c:e].T @ on[:, c:], g, out=out[:, 0, :, 1])
+            np.subtract(on[:, c:e].T @ plus[:, c:], g, out=out[:, 1, :, 0])
+            np.add(minus[:, c:e].T @ cols[:, c:], g, out=out[:, 1, :, 1])
+            keep = slots[2 * c:] > row_member[2 * c:2 * e, None]
+            yield out.reshape(2 * (e - c), -1)[keep]
 
 
 def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
@@ -507,10 +552,10 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     (``_membership``), from which both orientations follow by integer
     inclusion-exclusion (``_tuple_blocks``). Singles are signed row totals.
     A tuple of size s >= 2 restricts the points to those inside its first
-    s-2 members once; one GEMM per line chunk over those points then
-    scores every choice of the last two. Pairs cost (F/2)^2 * n / 2
-    multiply-adds, a quarter of a GEMM over member rows. Counts at d >= 2
-    come as floats holding exact integers.
+    s-2 members once, gathering their columns; one symmetric product per
+    label over those points then scores every choice of the last two.
+    Pairs cost (F/2)^2 * n / 2 multiply-adds, done as syrk. Counts at
+    d >= 2 come as floats holding exact integers.
     """
     zero = sample.y == 0
     n0 = int(np.count_nonzero(zero))
@@ -537,18 +582,18 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
             start = prefix[-1] + 1 if prefix else 0
             part = Z, n1, pts, E
             if prefix:
-                inside = np.ones(Z.shape[0], dtype=bool)
+                inside = np.ones(Z.shape[1], dtype=bool)
                 for p in prefix:
-                    held = Z[:, line[p]] > 0
+                    held = Z[line[p]] > 0
                     if sign[p]:
                         held = ~held
-                        held[pts[E[:, line[p]] > 0]] = True
+                        held[pts[E[line[p]] > 0]] = True
                     inside &= held
                 keep = np.flatnonzero(inside)
                 on = inside[pts]
                 l0 = line[start]
-                part = (Z[keep, l0:], int(np.searchsorted(keep, n1)),
-                        np.searchsorted(keep, pts[on]), E[on, l0:])
+                part = (Z[l0:, keep], int(np.searchsorted(keep, n1)),
+                        np.searchsorted(keep, pts[on]), E[l0:, on])
             for counts in _tuple_blocks(*part, family.slots[2 * line[start]:], start,
                                         n0, singles=not prefix):
                 yield rank, counts
@@ -568,7 +613,7 @@ def all_mistake_counts(family: HalfspaceFamily, sample: LabeledSample, dim: int)
 
 
 def unrank_hypothesis(rank: int, family_size: int, dim: int) -> IntersectionHypothesis:
-    """Hypothesis at a given enumeration rank."""
+    """Hypothesis at a given enumeration rank, from O(d log F) binomials."""
     if rank < 0:
         raise IndexError("rank outside the class")
     if rank == 0:
@@ -577,21 +622,34 @@ def unrank_hypothesis(rank: int, family_size: int, dim: int) -> IntersectionHypo
     for size in range(1, dim + 1):
         block = math.comb(family_size, size)
         if rank < block:
-            combo = []
-            prev = -1
-            for slot in range(size):
-                i = prev + 1
-                while True:
-                    rest = math.comb(family_size - i - 1, size - slot - 1)
-                    if rank < rest:
-                        break
-                    rank -= rest
-                    i += 1
-                combo.append(i)
-                prev = i
-            return IntersectionHypothesis(tuple(combo))
+            return IntersectionHypothesis(_unrank_combination(rank, family_size, size))
         rank -= block
     raise IndexError("rank outside the class")
+
+
+def _unrank_combination(rank: int, m: int, size: int) -> tuple[int, ...]:
+    """The strictly increasing ``size``-tuple of range(m) at ``rank`` in
+    lexicographic order. The tuples of ``slot`` members drawn from
+    range(lo, m) whose first member is below i number
+    C(m - lo, slot) - C(m - i, slot), so each member is the largest i
+    with that count at most the rank left, found by binary search; the
+    last member is lo plus the rank left."""
+    combo = []
+    lo = 0
+    for slot in range(size, 1, -1):
+        total = math.comb(m - lo, slot)
+        a, b = lo, m - slot
+        while a < b:
+            mid = (a + b + 1) // 2
+            if total - math.comb(m - mid, slot) <= rank:
+                a = mid
+            else:
+                b = mid - 1
+        rank -= total - math.comb(m - a, slot)
+        combo.append(a)
+        lo = a + 1
+    combo.append(lo + rank)
+    return tuple(combo)
 
 
 # ---------------------------------------------------------------------------

@@ -349,3 +349,33 @@ def mechanism_probs_direct(mistake_counts, epsilon) -> np.ndarray:
 
 def count_mistakes_pointwise(labels_pred, labels_true) -> int:
     return int(sum(1 for a, b in zip(labels_pred, labels_true) if int(a) != int(b)))
+
+
+def unrank_walk(rank: int, family_size: int, dim: int):
+    """Members of the hypothesis at ``rank`` in the class enumeration
+    (empty region first, then member tuples by size, lexicographic), None
+    for the empty region, by walking member indices one at a time: O(F)
+    binomials a call. Raises IndexError outside the class."""
+    if rank < 0:
+        raise IndexError("rank outside the class")
+    if rank == 0:
+        return None
+    rank -= 1
+    for size in range(1, dim + 1):
+        block = math.comb(family_size, size)
+        if rank < block:
+            combo = []
+            prev = -1
+            for slot in range(size):
+                i = prev + 1
+                while True:
+                    rest = math.comb(family_size - i - 1, size - slot - 1)
+                    if rank < rest:
+                        break
+                    rank -= rest
+                    i += 1
+                combo.append(i)
+                prev = i
+            return tuple(combo)
+        rank -= block
+    raise IndexError("rank outside the class")

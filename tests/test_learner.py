@@ -29,7 +29,7 @@ from ppmlearn.model import EmptySampleError, LabeledSample, PPMDataset, empirica
 from ppmlearn.data import GeneratorSpec, generate
 from ppmlearn.privacy import mechanism_distribution
 
-from oracles import erm_1d_mistakes, erm_brute_force, family_oracle
+from oracles import erm_1d_mistakes, erm_brute_force, family_oracle, unrank_walk
 
 
 def labeled(X, y):
@@ -273,6 +273,30 @@ def test_unrank_matches_enumeration():
             unrank_hypothesis(len(hyps), fam_size, dim)
 
 
+def test_unrank_matches_the_walk_on_a_large_family():
+    # F ~ 7,000 members, as on a d = 1 sample of n = 8000: random ranks and
+    # both edges of every size block
+    rng = np.random.default_rng(8)
+    F = 7001
+    for dim in (1, 2, 3):
+        card = class_cardinality(F, dim)
+        ranks = [0, card - 1] + [int(r) for r in rng.integers(1, card, 25)]
+        first = 1
+        for size in range(1, dim + 1):
+            block = math.comb(F, size)
+            ranks += [first, first + 1, first + block - 2, first + block - 1]
+            first += block
+        for rank in ranks:
+            members = unrank_walk(rank, F, dim)
+            g = EMPTY_REGION if members is None else IntersectionHypothesis(members)
+            assert unrank_hypothesis(rank, F, dim) == g
+        for rank in (card, card + 1, -1):
+            with pytest.raises(IndexError, match="rank outside the class"):
+                unrank_hypothesis(rank, F, dim)
+            with pytest.raises(IndexError, match="rank outside the class"):
+                unrank_walk(rank, F, dim)
+
+
 def test_unrank_refuses_negative_ranks():
     for rank in (-1, -7):
         with pytest.raises(IndexError, match="rank outside the class"):
@@ -438,6 +462,48 @@ def test_line_scorer_agrees_across_chunks(dim, monkeypatch):
     monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 7)
     for points in LINE_INPUTS:
         assert_counts_match_naive(*_line_family(points, dim, 5), dim)
+    # row strips of three lines, each a 3 x 3 syrk block on the diagonal
+    # and a GEMM block to its right, written out one line at a time
+    strips = []
+    for points in LINE_INPUTS:
+        fam, sample = _line_family(points, dim, 5)
+        lines = fam.slots.size // 2
+        monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 6 * lines)
+        assert_counts_match_naive(fam, sample, dim)
+        strips.append(-(-lines // 3))
+    assert max(strips) >= 4
+
+
+def _few_per_label(rng, dim, n1, n0):
+    # public points, on the family's lines, and points off them
+    pub = rng.standard_normal((6, dim))
+    X = np.vstack([pub[rng.permutation(6)[:2]], rng.standard_normal((2, dim))])
+    X = X[rng.permutation(4)[:n1 + n0]]
+    y = rng.permutation([1] * n1 + [0] * n0)
+    return pub, labeled(X, y)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_line_scorer_with_zero_one_or_two_points_per_label(dim):
+    # the shapes of verify_dp's two-point swaps, where a label block of
+    # fewer than two points is padded with zero columns
+    rng = np.random.default_rng(20 + dim)
+    cap = 6 if dim == 2 else 4
+    for n1, n0 in itertools.product(range(3), repeat=2):
+        if n1 + n0 == 0:
+            continue
+        for _ in range(3):
+            pub, sample = _few_per_label(rng, dim, n1, n0)
+            fam = construct_halfspace_family(labeled(pub, np.zeros(6)), dim, pool_cap=cap)
+            assert_counts_match_naive(fam, sample, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("label", [0, 1])
+def test_line_scorer_on_single_label_samples(dim, label):
+    for seed in range(3):
+        fam, sample = _line_family(_lines_generator, dim, seed)
+        assert_counts_match_naive(fam, labeled(sample.X, np.full(sample.n, label)), dim)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
