@@ -24,7 +24,6 @@ from .geometry import (
     Halfspace,
     HellyWitness,
     affine_span,
-    dedup_halfspaces,
     helly_witness,
     hull_facet_halfspaces,
     region_feasible,

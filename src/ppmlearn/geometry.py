@@ -6,13 +6,14 @@ brute-force convex-hull facet enumeration, LP feasibility of halfspace
 intersections inside an affine chart, and search for small infeasibility
 witnesses.
 
-Supported hyperplanes come from one array kernel,
-``supporting_hyperplanes``, which runs a modified Gram-Schmidt over every
-subset of one size at once; ``supporting_halfspace_pair`` is that kernel
-for a single subset. Near-duplicate rows are removed by ``dedup_rows``,
-which ``dedup_halfspaces`` applies to halfspace objects. Both return
-arrays, so a family of thousands of halfspaces needs no per-subset Python
-objects.
+Every orthonormal basis here comes from one batched modified Gram-Schmidt,
+``_gram_schmidt`` on top of ``_project_out``, which runs over many point
+subsets at once: the supported hyperplanes of ``supporting_hyperplanes``
+(and of ``supporting_halfspace_pair``, that kernel for one subset), the
+basis of ``affine_span``, the facet normals of ``hull_facet_halfspaces``
+over all subsets of chart points, and the chart changes of the LP.
+Near-duplicate rows are removed by ``dedup_rows``. Families are arrays, so
+thousands of halfspaces need no per-subset Python objects.
 
 All tolerances are relative to the data scale: a point x is "on" a unit
 hyperplane when |w.x - w0| <= MEM_TOL * (1 + ||x||).
@@ -21,6 +22,7 @@ hyperplane when |w.x - w0| <= MEM_TOL * (1 + ||x||).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,14 @@ class DimensionMismatch(ValueError):
 def point_tolerance(x) -> float:
     """Membership tolerance for a point: MEM_TOL * (1 + ||x||)."""
     return MEM_TOL * (1.0 + float(np.linalg.norm(x)))
+
+
+def _points(points, dim: int) -> np.ndarray:
+    """``points`` as an (n, dim) float array; DimensionMismatch otherwise."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or P.shape[1] != dim:
+        raise DimensionMismatch(f"points have shape {P.shape}, expected (n, {dim})")
+    return P
 
 
 def canonicalize(normal, offset):
@@ -105,9 +115,7 @@ class Halfspace:
         return int(self.contains(x))
 
     def contains_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise DimensionMismatch(f"points have shape {X.shape}, expected (n, {self.dim})")
+        X = _points(X, self.dim)
         tol = MEM_TOL * (1.0 + np.linalg.norm(X, axis=1))
         return X @ self.normal - self.offset >= -tol
 
@@ -138,8 +146,10 @@ class AffineSubspace:
         basis = np.array(np.asarray(self.basis, dtype=float), dtype=float)
         if base.ndim != 1:
             raise ValueError("base must be a vector")
+        if basis.size == 0:
+            basis = basis.reshape(0, base.size)
         if basis.ndim != 2 or basis.shape[1] != base.size:
-            basis = basis.reshape(-1, base.size)
+            raise DimensionMismatch(f"basis has shape {basis.shape}, expected (k, {base.size})")
         if not np.all(np.isfinite(base)) or not np.all(np.isfinite(basis)):
             raise ValueError("affine subspace data must be finite")
         if basis.shape[0] > 0:
@@ -202,53 +212,11 @@ class AffineSubspace:
         return f"AffineSubspace(dim={self.dim}, k={self.k})"
 
 
-def _orthonormalize(vectors, dim: int) -> np.ndarray:
-    """Orthonormal basis of span(vectors) by modified Gram-Schmidt.
-
-    Processes vectors in the given order (deterministic); directions with
-    residual norm below RANK_TOL * scale are treated as dependent.
-    """
-    basis: list[np.ndarray] = []
-    vecs = np.asarray(vectors, dtype=float).reshape(-1, dim)
-    scale = 1.0 + (float(np.max(np.abs(vecs))) if vecs.size else 0.0)
-    for v in vecs:
-        u = v.astype(float)
-        for b in basis:
-            u = u - (b @ u) * b
-        # second MGS pass for numerical orthogonality
-        for b in basis:
-            u = u - (b @ u) * b
-        norm = float(np.linalg.norm(u))
-        if norm > RANK_TOL * scale:
-            basis.append(u / norm)
-        if len(basis) == dim:
-            break
-    if not basis:
-        return np.zeros((0, dim))
-    return np.vstack(basis)
-
-
-def _complement_basis(span: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(rows).
-
-    Extends with standard basis vectors e_1, e_2, ... in index order, so the
-    result is deterministic for a fixed span.
-    """
-    comp: list[np.ndarray] = []
-    k = span.shape[0]
-    for i in range(dim):
-        u = np.zeros(dim)
-        u[i] = 1.0
-        for b in itertools.chain(span, comp):
-            u = u - (b @ u) * b
-        for b in itertools.chain(span, comp):
-            u = u - (b @ u) * b
-        norm = float(np.linalg.norm(u))
-        if norm > RANK_TOL:
-            comp.append(u / norm)
-        if len(comp) == dim - k:
-            break
-    return np.vstack(comp) if comp else np.zeros((0, dim))
+def _combinations(m: int, size: int) -> np.ndarray:
+    """Every strictly increasing ``size``-tuple of range(m), lexicographic,
+    as rows of an integer array."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), size))
+    return np.fromiter(flat, dtype=np.intp, count=math.comb(m, size) * size).reshape(-1, size)
 
 
 def _dots(A, B) -> np.ndarray:
@@ -274,72 +242,75 @@ def _project_out(u, basis, count):
     return u
 
 
+def _gram_schmidt(vectors, tol, stop, span=None, rank=None):
+    """Orthonormal rows of every subset by batched modified Gram-Schmidt.
+
+    Each vector ``vectors[b, t]`` (B, T, d), in order of t, is projected
+    out of the rows subset b holds (``_project_out``); its residual,
+    normalized, is appended when its norm exceeds ``tol[b]`` and the subset
+    holds fewer than ``stop[b]`` rows. Returns ``(span, rank)``: subset b
+    holds ``rank[b]`` rows at the front of ``span[b]`` (B, d, d); passing
+    them back continues the basis in place.
+    """
+    B, _, d = vectors.shape
+    if span is None:
+        span, rank = np.zeros((B, d, d)), np.zeros(B, dtype=np.intp)
+    for t in range(vectors.shape[1]):
+        open_ = rank < stop
+        if not open_.any():
+            break
+        u = _project_out(vectors[:, t], span, rank)
+        norm = np.sqrt(_dots(u, u))
+        keep = open_ & (norm > tol)
+        span[keep, rank[keep]] = u[keep] / norm[keep, None]
+        rank += keep
+    return span, rank
+
+
 def supporting_hyperplanes(X, combos):
     """Unit normal and offset of the supported hyperplane of every subset.
 
     ``combos`` is an (B, k) integer array of row indices into ``X`` (n, d),
-    1 <= k <= d, one subset per row. Row b of the result is the halfspace
-    that ``supporting_halfspace_pair`` returns first for ``X[combos[b]]``,
-    bit for bit: the same modified Gram-Schmidt, run over all subsets at
-    once. The centered points are orthonormalized in order, two projection
-    passes each, keeping directions whose residual norm exceeds
-    RANK_TOL * scale. The normal is the first standard basis vector whose
-    residual against that span exceeds RANK_TOL, normalized, with its first
-    coordinate above 1e-12 in magnitude made positive, then canonicalized.
-    The offset is the normal's inner product with the subset's first point.
+    1 <= k <= d, one subset per row; ``supporting_halfspace_pair`` returns
+    row b of the result first for ``X[combos[b]]``. The centered points are
+    orthonormalized in order (``_gram_schmidt``), keeping directions whose
+    residual norm exceeds RANK_TOL * scale. The normal is the first standard
+    basis vector whose residual against that span exceeds RANK_TOL,
+    normalized (so canonical already), with its first coordinate above
+    1e-12 in magnitude made positive. The offset is the normal's inner
+    product with the subset's first point.
     """
     X = np.asarray(X, dtype=float)
     combos = np.asarray(combos, dtype=np.intp)
-    B, k = combos.shape
+    B = combos.shape[0]
     dim = X.shape[1]
     P = X[combos]                                    # (B, k, d)
     V = P - P.mean(axis=1, keepdims=True)
     scale = 1.0 + np.max(np.abs(V), axis=(1, 2), initial=0.0)
-    span = np.zeros((B, k, dim))
-    rank = np.zeros(B, dtype=np.intp)
-    for t in range(k):
-        u = _project_out(V[:, t], span, rank)
-        norm = np.sqrt(_dots(u, u))
-        keep = norm > RANK_TOL * scale
-        span[keep, rank[keep]] = u[keep] / norm[keep, None]
-        rank += keep
-    W = np.zeros((B, dim))
-    found = np.zeros(B, dtype=bool)
-    for i in range(dim):
-        u = np.zeros((B, dim))
-        u[:, i] = 1.0
-        u = _project_out(u, span, rank)
-        norm = np.sqrt(_dots(u, u))
-        new = ~found & (norm > RANK_TOL)
-        W[new] = u[new] / norm[new, None]
-        found |= new
-    if not np.all(found):
+    # room for d rows: far from the origin k centered points can reach rank k
+    span, rank = _gram_schmidt(V, RANK_TOL * scale, dim)
+    normal = rank.copy()
+    _gram_schmidt(np.broadcast_to(np.eye(dim), (B, dim, dim)), RANK_TOL, normal + 1, span, rank)
+    if np.any(rank == normal):
         raise ValueError("supporting points already span the full space")
+    W = span[np.arange(B), normal]
     big = np.abs(W) > 1e-12
     lead = W[np.arange(B), np.argmax(big, axis=1)]
     W = np.where((big.any(axis=1) & (lead < 0))[:, None], -W, W)
     w0 = _dots(W, P[:, 0])
     if not (np.all(np.isfinite(W)) and np.all(np.isfinite(w0))):
         raise ValueError("halfspace coefficients must be finite")
-    # canonicalize: rescale the rows whose norm is not within 1e-12 of 1
-    norm = np.sqrt(_dots(W, W))
-    off = np.abs(norm - 1.0) > 1e-12
-    W[off] /= norm[off, None]
-    w0[off] /= norm[off]
     return W, w0
 
 
 def supporting_halfspace_pair(points, dim: int, source=None):
     """One halfspace supported by the given points, and its opposite.
 
-    The points (1 <= count <= dim) all lie on the shared bounding
-    hyperplane. For underdetermined sets the hyperplane is chosen
-    deterministically: the normal is the first orthogonal-complement vector
-    of the points' direction span, extended in standard-basis order, with
-    its sign fixed so the first nonzero coordinate is positive. This is
-    ``supporting_hyperplanes`` for one subset.
+    The points, an (count, dim) array with 1 <= count <= dim, all lie on
+    the shared bounding hyperplane, chosen deterministically for
+    underdetermined sets: ``supporting_hyperplanes`` for one subset.
     """
-    P = np.asarray(points, dtype=float).reshape(-1, dim)
+    P = _points(points, dim)
     if P.shape[0] == 0:
         raise ValueError("empty supporting set")
     if P.shape[0] > dim:
@@ -354,18 +325,18 @@ def supporting_halfspace_pair(points, dim: int, source=None):
 def affine_span(points, dim: int | None = None) -> AffineSubspace:
     """Minimal affine subspace containing the points.
 
-    Base point is the first point; the basis comes from deterministic
-    Gram-Schmidt over the differences in input order, so k equals the
+    The points are an (n, dim) array, or one point as a vector. Base point
+    is the first point; the basis comes from deterministic Gram-Schmidt over
+    the differences in input order (``_gram_schmidt``), so k equals the
     numerical rank of the centered point matrix.
     """
-    P = np.asarray(points, dtype=float)
-    if P.ndim == 1:
-        P = P.reshape(1, -1)
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    P = _points(P, P.shape[1] if dim is None else dim)
     if P.shape[0] == 0:
         raise ValueError("affine span of an empty point set is undefined")
-    d = P.shape[1] if dim is None else dim
-    basis = _orthonormalize(P[1:] - P[0], d)
-    return AffineSubspace(P[0], basis)
+    D = (P[1:] - P[0])[None]
+    span, rank = _gram_schmidt(D, RANK_TOL * (1.0 + np.max(np.abs(D), initial=0.0)), P.shape[1])
+    return AffineSubspace(P[0], span[0, :rank[0]])
 
 
 def dedup_rows(R, tol: float = DEDUP_TOL) -> np.ndarray:
@@ -405,63 +376,50 @@ def dedup_rows(R, tol: float = DEDUP_TOL) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def dedup_halfspaces(halfspaces, tol: float = DEDUP_TOL):
-    """Drop halfspaces whose canonical (w, w0) row matches an earlier one.
-
-    Near-equality within ``tol`` in the max norm; first occurrence wins
-    (``dedup_rows`` on the canonical rows).
-    """
-    hs = list(halfspaces)
-    if not hs:
-        return []
-    kept = dedup_rows(np.array([h.canonical_row() for h in hs]), tol)
-    return [hs[i] for i in kept]
-
-
 def hull_facet_halfspaces(points, aff: AffineSubspace) -> list[Halfspace]:
     """Facet halfspaces of the convex hull of the points inside ``aff``.
 
-    The points must span ``aff`` (k = rank of the centered point matrix).
-    Brute force: every size-k subset spanning a hyperplane of the chart is
-    tested; orientations placing all points on one closed side are kept.
-    The intersection of the returned halfspaces with ``aff`` is the hull.
-    Each facet records the spanning subset (positions into ``points``) as
-    its source.
+    The points, an (n, aff.dim) array, must span ``aff`` (k = rank of the
+    centered point matrix). Brute force: one ``_gram_schmidt`` batch gives
+    every size-k subset spanning a hyperplane of the chart its normal;
+    orientations placing all points on one closed side are kept, and
+    near-duplicates dropped (``dedup_rows``). The intersection of the
+    returned halfspaces with ``aff`` is the hull. Each facet records the
+    spanning subset (positions into ``points``) as its source.
     """
-    P = np.asarray(points, dtype=float).reshape(-1, aff.dim)
+    P = _points(points, aff.dim)
     if P.shape[0] == 0:
         raise ValueError("hull of an empty point set is undefined")
-    in_aff = aff.contains_many(P)
-    if not np.all(in_aff):
+    if not np.all(aff.contains_many(P)):
         raise ValueError("all points must lie inside the affine subspace")
     k = aff.k
     if k == 0:
-        h, h_op = supporting_halfspace_pair(P[:1], aff.dim, source=(0,))
-        return [h, h_op]
+        return list(supporting_halfspace_pair(P[:1], aff.dim, source=(0,)))
     Z = aff.to_chart(P)
-    span = _orthonormalize(Z - Z[0], k)
-    if span.shape[0] != k:
+    if affine_span(Z, k).k != k:
         raise ValueError("points do not span the affine subspace")
+    combos = _combinations(P.shape[0], k)
+    sub = Z[combos]                                  # (B, k, k)
+    D = sub[:, 1:] - sub[:, :1]
+    scale = 1.0 + np.max(np.abs(D), axis=(1, 2), initial=0.0)
+    span, rank = _gram_schmidt(D, RANK_TOL * scale, k)
+    # one complement row each: only the subsets spanning a hyperplane reach k
+    _gram_schmidt(np.broadcast_to(np.eye(k), (combos.shape[0], k, k)), RANK_TOL, rank + 1,
+                  span, rank)
+    facet = np.flatnonzero(rank == k)
+    A = span[facet, k - 1]                           # unit chart normals
+    b = _dots(A, sub[facet, 0])
+    # stacked products, one matrix-vector product per facet: bit for bit
+    # the per-facet expressions Z @ a, basis.T @ a and w . base
+    vals = (Z @ A[:, :, None])[:, :, 0] - b[:, None]  # (facets, n)
     tol = MEM_TOL * (1.0 + np.linalg.norm(Z, axis=1))
-    facets: list[Halfspace] = []
-    for combo in itertools.combinations(range(P.shape[0]), k):
-        sub = Z[list(combo)]
-        dirs = _orthonormalize(sub[1:] - sub[0], k)
-        if dirs.shape[0] != k - 1:
-            continue  # subset does not span a hyperplane of the chart
-        comp = _complement_basis(dirs, k)
-        if comp.shape[0] != 1:
-            continue
-        a = comp[0]
-        b = float(a @ sub[0])
-        vals = Z @ a - b
-        w = aff.basis.T @ a
-        w0 = b + float(w @ aff.base)
-        if np.all(vals >= -tol):
-            facets.append(Halfspace(w, w0, source=combo))
-        if np.all(vals <= tol):
-            facets.append(Halfspace(-w, -w0, source=combo))
-    return dedup_halfspaces(facets)
+    W = (aff.basis.T @ A[:, :, None])[:, :, 0]
+    w0 = b + _dots(W, np.broadcast_to(aff.base, W.shape))
+    side = np.column_stack([np.all(vals >= -tol, axis=1), np.all(vals <= tol, axis=1)])
+    hs = [Halfspace(s * W[i], s * w0[i], source=combos[f])
+          for i, f in enumerate(facet) for s, up in zip((1.0, -1.0), side[i]) if up]
+    rows = np.array([h.canonical_row() for h in hs]).reshape(-1, aff.dim + 1)
+    return [hs[i] for i in dedup_rows(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +445,12 @@ def _interval_feasible(A, b, tol):
     if np.isfinite(hi):
         return np.array([hi])
     return np.array([0.0])
+
+
+def _complement(a):
+    """Orthonormal basis of a's orthogonal complement: Gram-Schmidt of a, e_1, e_2, ..."""
+    span, rank = _gram_schmidt(np.vstack([a, np.eye(a.size)])[None], RANK_TOL, a.size)
+    return span[0, 1:rank[0]]
 
 
 def _feasible_chart(A, b, tol, rng):
@@ -516,7 +480,7 @@ def _feasible_chart(A, b, tol, rng):
             return None  # unsatisfiable degenerate constraint
         unit = a / nrm
         p = (b[idx] / nrm) * unit
-        Q = _complement_basis(unit.reshape(1, -1), k)  # (k-1, k)
+        Q = _complement(a)  # (k-1, k)
         prev = order[: pos + 1]
         A_sub = A[prev] @ Q.T
         b_sub = b[prev] - A[prev] @ p
@@ -535,8 +499,6 @@ def region_feasible(halfspaces, aff: AffineSubspace):
     chart and are resolved directly.
     """
     hs = list(halfspaces)
-    if not hs:
-        return True, np.array(aff.base)
     dim = aff.dim
     rows = []
     rhs = []

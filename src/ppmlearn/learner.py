@@ -39,9 +39,9 @@ from .geometry import (
     Halfspace,
     MEM_TOL,
     RANK_TOL,
+    _combinations,
     affine_span,
     dedup_rows,
-    point_tolerance,
     supporting_hyperplanes,
 )
 from .model import (
@@ -248,13 +248,6 @@ class ClassG:
                 yield IntersectionHypothesis(combo)
 
 
-def _combinations(m: int, size: int) -> np.ndarray:
-    """Every strictly increasing ``size``-tuple of range(m), lexicographic,
-    as rows of an integer array."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(m), size))
-    return np.fromiter(flat, dtype=np.intp, count=math.comb(m, size) * size).reshape(-1, size)
-
-
 def construct_halfspace_family(S_pub: LabeledSample, dim: int,
                                pool_cap: int | None = None) -> HalfspaceFamily:
     """Supported halfspace pairs for every public-point subset of size <= d.
@@ -302,17 +295,9 @@ def enumerate_class(family: HalfspaceFamily, dim: int) -> ClassG:
 
 
 def predict(g: IntersectionHypothesis, family: HalfspaceFamily, x) -> int:
-    """0 iff x lies in every member halfspace AND the public span."""
-    if g.is_empty_region:
-        return 1
-    x = np.asarray(x, dtype=float)
-    if not family.aff.contains(x):
-        return 1
-    tol = point_tolerance(x)
-    for i in g.members:
-        if float(family.W[i] @ x - family.w0[i]) < -tol:
-            return 1
-    return 0
+    """0 iff x lies in every member halfspace AND the public span:
+    ``predict_many`` on the one point."""
+    return int(predict_many(g, family, np.asarray(x, dtype=float)[None])[0])
 
 
 def predict_many(g: IntersectionHypothesis, family: HalfspaceFamily, X) -> np.ndarray:

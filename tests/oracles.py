@@ -3,9 +3,9 @@
 Everything here is deliberately written a different way from the library:
 sort-and-scan for 1-d ERM, brute-force ERM that scores every candidate
 against every point, a per-subset halfspace family with grid-bucket
-deduplication, an orientation-predicate hull, vertex enumeration for 2-d
-feasibility, elimination-based rank, and the plain exponential-mechanism
-formula without log-space shifting.
+deduplication, a per-subset hull-facet loop, an orientation-predicate hull,
+vertex enumeration for 2-d feasibility, elimination-based rank, and the
+plain exponential-mechanism formula without log-space shifting.
 """
 
 from __future__ import annotations
@@ -223,6 +223,37 @@ def family_oracle(S_pub, dim: int, pool_cap=None) -> list:
             src = tuple(int(idx[i]) for i in combo)
             halfspaces.extend(supporting_pair_oracle(X[list(combo)], dim, source=src))
     return dedup_oracle(halfspaces)
+
+
+def hull_facets_oracle(points, aff) -> list:
+    """Facet halfspaces of the hull of the points inside ``aff``, one Python
+    Gram-Schmidt per size-k subset of chart points, both one-sided
+    orientations of each in subset order, then grid-bucket deduplication."""
+    P = np.asarray(points, dtype=float)
+    k = aff.k
+    if k == 0:
+        return list(supporting_pair_oracle(P[:1], aff.dim, source=(0,)))
+    Z = aff.to_chart(P)
+    tol = MEM_TOL * (1.0 + np.linalg.norm(Z, axis=1))
+    facets = []
+    for combo in itertools.combinations(range(P.shape[0]), k):
+        sub = Z[list(combo)]
+        dirs = _orthonormalize(sub[1:] - sub[0], k)
+        if dirs.shape[0] != k - 1:
+            continue  # subset does not span a hyperplane of the chart
+        comp = _complement_basis(dirs, k)
+        if comp.shape[0] != 1:
+            continue
+        a = comp[0]
+        b = float(a @ sub[0])
+        vals = Z @ a - b
+        w = aff.basis.T @ a
+        w0 = b + float(w @ aff.base)
+        if np.all(vals >= -tol):
+            facets.append(Halfspace(w, w0, source=combo))
+        if np.all(vals <= tol):
+            facets.append(Halfspace(-w, -w0, source=combo))
+    return dedup_oracle(facets)
 
 
 def convex_hull_2d(points) -> list[int]:

@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
+from ppmlearn import geometry
 from ppmlearn.geometry import (
     AffineSubspace,
     DimensionMismatch,
     Halfspace,
     affine_span,
     canonicalize,
-    dedup_halfspaces,
     dedup_rows,
     helly_witness,
     hull_facet_halfspaces,
@@ -17,9 +17,12 @@ from ppmlearn.geometry import (
 )
 
 from oracles import (
+    _complement_basis,
+    _orthonormalize,
     convex_hull_2d,
     dedup_oracle,
     feasible_2d,
+    hull_facets_oracle,
     matrix_rank_elimination,
     point_in_hull_2d,
 )
@@ -143,6 +146,64 @@ def test_affine_span_rank_matches_elimination_oracle():
             assert aff.contains(p)
 
 
+def _point_sets(rng, d):
+    """Point sets in R^d that stress the Gram-Schmidt: Gaussian at scales
+    1e-3..1e3, an integer grid, low rank, far from the origin and nearly
+    coincident."""
+    n = int(rng.integers(1, 9))
+    r = int(rng.integers(0, d))
+    return [rng.standard_normal((n, d)) * 10.0 ** int(rng.integers(-3, 4)),
+            rng.integers(-2, 3, (n, d)).astype(float),
+            rng.standard_normal(d) + rng.integers(-3, 4, (n, r)) @ rng.standard_normal((r, d)),
+            1e6 + rng.standard_normal((n, d)),
+            rng.standard_normal(d) + rng.standard_normal((n, d)) * 1e-11]
+
+
+def test_affine_span_matches_per_vector_gram_schmidt():
+    rng = np.random.default_rng(42)
+    for _ in range(40):
+        d = int(rng.integers(1, 5))
+        for pts in _point_sets(rng, d):
+            aff = affine_span(pts, d)
+            ref = _orthonormalize(pts[1:] - pts[0], d)
+            assert aff.base.tobytes() == pts[0].tobytes()
+            assert aff.basis.shape == ref.shape
+            assert aff.basis.tobytes() == ref.tobytes()
+
+
+def test_lp_complement_matches_per_vector_gram_schmidt():
+    rng = np.random.default_rng(43)
+    for k in range(2, 6):
+        normals = [rng.standard_normal(k) * 10.0 ** int(rng.integers(-3, 4)) for _ in range(40)]
+        normals += list(np.eye(k) * 3.0) + [np.eye(k)[0] + 1e-13 * rng.standard_normal(k)]
+        for a in normals:
+            Q = geometry._complement(a)
+            ref = _complement_basis((a / np.linalg.norm(a))[None], k)
+            assert Q.shape == (k - 1, k)
+            assert Q.tobytes() == ref.tobytes()
+
+
+# six points of R^2; read as four points of R^3 they span a tetrahedron
+SIX = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: AffineSubspace(np.zeros(2), [[1.0, 0.0, 0.0, 1.0]]),
+    lambda: supporting_halfspace_pair([[1.0, 2.0], [3.0, 5.0]], 4),
+    lambda: hull_facet_halfspaces(SIX, AffineSubspace.full_space(3)),
+    lambda: affine_span(SIX[:4], 3),
+], ids=["affine_subspace_basis", "supporting_pair", "hull_facets", "affine_span"])
+def test_misshaped_points_are_refused(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+def test_single_point_vector_and_empty_basis_are_accepted():
+    assert affine_span([2.0, 5.0], 2).k == 0
+    assert AffineSubspace(np.zeros(2), []).k == 0
+    assert AffineSubspace(np.zeros(2), np.zeros((0, 2))).k == 0
+
+
 # --- membership ------------------------------------------------------------
 
 
@@ -226,17 +287,51 @@ def test_hull_facets_requires_spanning_points():
         hull_facet_halfspaces(pts, AffineSubspace.full_space(2))
 
 
+def _facet_rows(halfspaces):
+    return [(h.normal.tobytes(), h.offset, h.source) for h in halfspaces]
+
+
+def test_hull_facets_match_per_subset_oracle():
+    rng = np.random.default_rng(44)
+    # a repeated vertex: that pair spans no hyperplane, yet its complement
+    # would hold all points on one side
+    cases = [np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+             np.vstack([np.zeros((2, 3)), np.eye(3)])]
+    for d in (2, 3, 4):
+        for _ in range(12):
+            n = int(rng.integers(d + 1, 9))
+            cases.append(rng.standard_normal((n, d)) * 10.0 ** int(rng.integers(-3, 4)))
+        cases.append(rng.integers(-2, 3, (12, d)).astype(float))  # integer grid
+        cases.append(1e6 + rng.standard_normal((7, d)))           # far from the origin
+    for k in (1, 2):  # charts of k = 1 and k = 2 inside R^3
+        for scale in (1.0, 1e3):
+            for _ in range(5):
+                basis = np.linalg.qr(rng.standard_normal((3, 3)))[0][:k]
+                cases.append(rng.standard_normal(3) * scale
+                             + rng.standard_normal((int(rng.integers(k + 1, 8)), k)) @ basis)
+    for pts in cases:
+        aff = affine_span(pts, pts.shape[1])
+        got = hull_facet_halfspaces(pts, aff)
+        assert len(got) >= 2
+        assert _facet_rows(got) == _facet_rows(hull_facets_oracle(pts, aff))
+
+
 # --- dedup -------------------------------------------------------------------
+
+
+def _dedup(halfspaces):
+    """The halfspaces ``dedup_rows`` keeps of their canonical rows."""
+    return [halfspaces[i] for i in dedup_rows(np.array([h.canonical_row() for h in halfspaces]))]
 
 
 def test_dedup_keeps_first_and_drops_near_equal():
     h1 = Halfspace([1.0, 0.0], 0.5, source=(0,))
     h2 = Halfspace([1.0, 1e-13], 0.5 + 1e-13, source=(1,))  # within 1e-9
     h3 = Halfspace([0.0, 1.0], 0.5)
-    out = dedup_halfspaces([h1, h2, h3])
+    out = _dedup([h1, h2, h3])
     assert len(out) == 2
     assert out[0] is h1 and out[1] is h3
-    assert dedup_halfspaces(out) == out
+    assert _dedup(out) == out
 
 
 def test_dedup_rows_chain_keeps_first_occurrences():
@@ -255,7 +350,7 @@ def test_dedup_rows_matches_grid_buckets():
         R = base[pick] + rng.integers(-2, 3, (60, 3)) * 0.6e-9
         hs = [Halfspace(r[:2], r[2]) for r in R]
         ref = dedup_oracle(hs)
-        got = dedup_halfspaces(hs)
+        got = _dedup(hs)
         assert [id(h) for h in got] == [id(h) for h in ref]
 
 
