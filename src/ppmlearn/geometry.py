@@ -22,7 +22,6 @@ hyperplane when |w.x - w0| <= MEM_TOL * (1 + ||x||).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ AFF_TOL = 1e-9    # affine-subspace distance, relative
 LP_TOL = 1e-9     # LP feasibility slack
 DEDUP_TOL = 1e-9  # canonical (w, w0) equality
 RANK_TOL = 1e-10  # orthonormalization / numerical-rank threshold
+_HULL_ENTRIES = 1 << 19  # point-facet values per hull block
 
 _LP_SEED = 0x5E1DE1  # fixed seed: randomized LP insertion order is reproducible
 
@@ -212,33 +212,24 @@ class AffineSubspace:
         return f"AffineSubspace(dim={self.dim}, k={self.k})"
 
 
-def _combinations(m: int, size: int) -> np.ndarray:
-    """Every strictly increasing ``size``-tuple of range(m), lexicographic,
-    as rows of an integer array."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(m), size))
-    return np.fromiter(flat, dtype=np.intp, count=math.comb(m, size) * size).reshape(-1, size)
-
-
 def _dots(A, B) -> np.ndarray:
-    """Row-wise inner products of two (m, d) arrays.
-
-    A stacked (m, 1, d) @ (m, d, 1) matmul takes the same BLAS dot per row
-    as the 1-d ``a @ b`` and ``np.linalg.norm(a)``, so each value matches
-    the per-vector expression bit for bit; an einsum or an elementwise sum
-    may differ in the last bit.
-    """
-    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+    """Inner products along the last axis of two (..., d) arrays: a stacked
+    (..., 1, d) @ (..., d, 1) matmul takes the same BLAS dot per row as the
+    1-d ``a @ b`` and ``np.linalg.norm(a)``, bit for bit; an einsum or an
+    elementwise sum may differ in the last bit."""
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
 
 
 def _project_out(u, basis, count):
-    """Two modified Gram-Schmidt passes of each row of ``u`` against the first
-    ``count[b]`` rows of ``basis[b]``; rows whose slot is empty are left as
-    they are."""
+    """Two modified Gram-Schmidt passes of the rows of each ``u[b]`` (B, w,
+    d) against the first ``count[b]`` rows of ``basis[b]``; rows whose slot
+    is empty are left as they are."""
+    top = int(count.max(initial=0))
     for _ in range(2):
-        for j in range(int(count.max(initial=0))):
-            b = basis[:, j]
-            step = u - _dots(b, u)[:, None] * b
-            u = np.where((count > j)[:, None], step, u)
+        for j in range(top):
+            b = basis[:, j, None]
+            step = u - _dots(b, u)[..., None] * b
+            u = np.where((count > j)[:, None, None], step, u)
     return u
 
 
@@ -246,24 +237,31 @@ def _gram_schmidt(vectors, tol, stop, span=None, rank=None):
     """Orthonormal rows of every subset by batched modified Gram-Schmidt.
 
     Each vector ``vectors[b, t]`` (B, T, d), in order of t, is projected
-    out of the rows subset b holds (``_project_out``); its residual,
-    normalized, is appended when its norm exceeds ``tol[b]`` and the subset
-    holds fewer than ``stop[b]`` rows. Returns ``(span, rank)``: subset b
-    holds ``rank[b]`` rows at the front of ``span[b]`` (B, d, d); passing
-    them back continues the basis in place.
+    out of the rows subset b holds (``_project_out``) and, normalized,
+    appended when its residual norm exceeds ``tol[b]`` and the subset holds
+    fewer than ``stop[b]`` rows. Returns ``(span, rank)``: ``rank[b]`` rows
+    at the front of ``span[b]`` (B, d, d); passing them back continues the
+    basis in place. Each step projects a window of vectors out of the same
+    rows, as one at a time would, and moves past the first appended; the
+    window doubles (up to ceil(T / B)) after a step that appends nothing,
+    so a low-rank ``affine_span`` takes a few steps, not one per point.
     """
-    B, _, d = vectors.shape
+    B, T, d = vectors.shape
     if span is None:
         span, rank = np.zeros((B, d, d)), np.zeros(B, dtype=np.intp)
-    for t in range(vectors.shape[1]):
-        open_ = rank < stop
-        if not open_.any():
-            break
-        u = _project_out(vectors[:, t], span, rank)
-        norm = np.sqrt(_dots(u, u))
-        keep = open_ & (norm > tol)
-        span[keep, rank[keep]] = u[keep] / norm[keep, None]
+    tol = np.reshape(tol, (-1, 1))
+    cap, width, t = -(-T // max(B, 1)), 1, 0
+    while t < T and (open_ := rank < stop).any():
+        u = _project_out(vectors[:, t:t + width], span, rank)
+        norm = np.sqrt(_dots(u, u))                  # (B, width)
+        ok = open_[:, None] & (norm > tol)
+        hits = np.flatnonzero(ok.any(axis=0))
+        first = hits[0] if hits.size else ok.shape[1] - 1
+        keep = ok[:, first]
+        span[keep, rank[keep]] = u[keep, first] / norm[keep, first, None]
         rank += keep
+        t += first + 1
+        width = 1 if hits.size else min(2 * width, cap)
     return span, rank
 
 
@@ -380,7 +378,7 @@ def hull_facet_halfspaces(points, aff: AffineSubspace) -> list[Halfspace]:
     """Facet halfspaces of the convex hull of the points inside ``aff``.
 
     The points, an (n, aff.dim) array, must span ``aff`` (k = rank of the
-    centered point matrix). Brute force: one ``_gram_schmidt`` batch gives
+    centered point matrix). Brute force: ``_gram_schmidt`` batches give
     every size-k subset spanning a hyperplane of the chart its normal;
     orientations placing all points on one closed side are kept, and
     near-duplicates dropped (``dedup_rows``). The intersection of the
@@ -398,26 +396,28 @@ def hull_facet_halfspaces(points, aff: AffineSubspace) -> list[Halfspace]:
     Z = aff.to_chart(P)
     if affine_span(Z, k).k != k:
         raise ValueError("points do not span the affine subspace")
-    combos = _combinations(P.shape[0], k)
-    sub = Z[combos]                                  # (B, k, k)
-    D = sub[:, 1:] - sub[:, :1]
-    scale = 1.0 + np.max(np.abs(D), axis=(1, 2), initial=0.0)
-    span, rank = _gram_schmidt(D, RANK_TOL * scale, k)
-    # one complement row each: only the subsets spanning a hyperplane reach k
-    _gram_schmidt(np.broadcast_to(np.eye(k), (combos.shape[0], k, k)), RANK_TOL, rank + 1,
-                  span, rank)
-    facet = np.flatnonzero(rank == k)
-    A = span[facet, k - 1]                           # unit chart normals
-    b = _dots(A, sub[facet, 0])
-    # stacked products, one matrix-vector product per facet: bit for bit
-    # the per-facet expressions Z @ a, basis.T @ a and w . base
-    vals = (Z @ A[:, :, None])[:, :, 0] - b[:, None]  # (facets, n)
     tol = MEM_TOL * (1.0 + np.linalg.norm(Z, axis=1))
-    W = (aff.basis.T @ A[:, :, None])[:, :, 0]
-    w0 = b + _dots(W, np.broadcast_to(aff.base, W.shape))
-    side = np.column_stack([np.all(vals >= -tol, axis=1), np.all(vals <= tol, axis=1)])
-    hs = [Halfspace(s * W[i], s * w0[i], source=combos[f])
-          for i, f in enumerate(facet) for s, up in zip((1.0, -1.0), side[i]) if up]
+    subsets = itertools.combinations(range(P.shape[0]), k)
+    hs, per_block = [], max(1, _HULL_ENTRIES // P.shape[0])
+    for block in iter(lambda: list(itertools.islice(subsets, per_block)), []):
+        sub = Z[np.array(block, dtype=np.intp)]      # (B, k, k)
+        D = sub[:, 1:] - sub[:, :1]
+        scale = 1.0 + np.max(np.abs(D), axis=(1, 2), initial=0.0)
+        span, rank = _gram_schmidt(D, RANK_TOL * scale, k)
+        # one complement row each: only subsets spanning a hyperplane reach k
+        _gram_schmidt(np.broadcast_to(np.eye(k), (len(block), k, k)), RANK_TOL, rank + 1,
+                      span, rank)
+        facet = np.flatnonzero(rank == k)
+        A = span[facet, k - 1]                       # unit chart normals
+        b = _dots(A, sub[facet, 0])
+        # stacked products, one matrix-vector product per facet: bit for bit
+        # the per-facet expressions Z @ a, basis.T @ a and w . base
+        vals = (Z @ A[:, :, None])[:, :, 0] - b[:, None]  # (facets, n)
+        W = (aff.basis.T @ A[:, :, None])[:, :, 0]
+        w0 = b + _dots(W, np.broadcast_to(aff.base, W.shape))
+        side = np.column_stack([np.all(vals >= -tol, axis=1), np.all(vals <= tol, axis=1)])
+        hs += [Halfspace(s * W[i], s * w0[i], source=block[f])
+               for i, f in enumerate(facet) for s, up in zip((1.0, -1.0), side[i]) if up]
     rows = np.array([h.canonical_row() for h in hs]).reshape(-1, aff.dim + 1)
     return [hs[i] for i in dedup_rows(rows)]
 

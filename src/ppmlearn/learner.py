@@ -39,7 +39,6 @@ from .geometry import (
     Halfspace,
     MEM_TOL,
     RANK_TOL,
-    _combinations,
     affine_span,
     dedup_rows,
     supporting_hyperplanes,
@@ -246,6 +245,13 @@ class ClassG:
         for size in range(1, self.dim + 1):
             for combo in itertools.combinations(range(self.family.size), size):
                 yield IntersectionHypothesis(combo)
+
+
+def _combinations(m: int, size: int) -> np.ndarray:
+    """Every strictly increasing ``size``-tuple of range(m), lexicographic,
+    as rows of an integer array."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), size))
+    return np.fromiter(flat, dtype=np.intp, count=math.comb(m, size) * size).reshape(-1, size)
 
 
 def construct_halfspace_family(S_pub: LabeledSample, dim: int,

@@ -3,7 +3,8 @@
 Everything here is deliberately written a different way from the library:
 sort-and-scan for 1-d ERM, brute-force ERM that scores every candidate
 against every point, a per-subset halfspace family with grid-bucket
-deduplication, a per-subset hull-facet loop, an orientation-predicate hull,
+deduplication, a per-subset hull-facet loop, a point-by-point and
+member-by-member hypothesis prediction, an orientation-predicate hull,
 vertex enumeration for 2-d feasibility, elimination-based rank, and the
 plain exponential-mechanism formula without log-space shifting.
 """
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from ppmlearn.geometry import DEDUP_TOL, MEM_TOL, RANK_TOL, Halfspace
+from ppmlearn.geometry import DEDUP_TOL, MEM_TOL, RANK_TOL, Halfspace, point_tolerance
 
 
 def erm_1d_mistakes(xs, ys) -> int:
@@ -254,6 +255,21 @@ def hull_facets_oracle(points, aff) -> list:
         if np.all(vals <= tol):
             facets.append(Halfspace(-w, -w0, source=combo))
     return dedup_oracle(facets)
+
+
+def predict_oracle(g, family, x) -> int:
+    """The label of one point under hypothesis ``g``: 0 iff x lies in the
+    public span and in every member halfspace, checked member by member."""
+    if g.is_empty_region:
+        return 1
+    x = np.asarray(x, dtype=float)
+    if not family.aff.contains(x):
+        return 1
+    tol = point_tolerance(x)
+    for i in g.members:
+        if float(family.W[i] @ x - family.w0[i]) < -tol:
+            return 1
+    return 0
 
 
 def convex_hull_2d(points) -> list[int]:

@@ -169,6 +169,25 @@ def test_affine_span_matches_per_vector_gram_schmidt():
             assert aff.base.tobytes() == pts[0].tobytes()
             assert aff.basis.shape == ref.shape
             assert aff.basis.tobytes() == ref.tobytes()
+    # many points of a line or a plane: most differences add no row
+    for d, r in [(2, 1), (3, 1), (3, 2)]:
+        pts = rng.standard_normal(d) + rng.standard_normal((300, r)) @ rng.standard_normal((r, d))
+        ref = _orthonormalize(pts[1:] - pts[0], d)
+        assert affine_span(pts, d).basis.tobytes() == ref.tobytes()
+
+
+def test_gram_schmidt_matches_per_subset_oracle():
+    # subsets read one vector a round, a few, or all of theirs at once
+    rng = np.random.default_rng(46)
+    for B, T, d in [(1, 9, 3), (2, 7, 3), (3, 8, 2), (4, 9, 4), (7, 3, 4)]:
+        V = np.stack([rng.standard_normal((T, r)) @ rng.standard_normal((r, d))
+                      * 10.0 ** int(rng.integers(-3, 4)) for r in rng.integers(0, d + 1, B)])
+        scale = 1.0 + np.max(np.abs(V), axis=(1, 2))
+        span, rank = geometry._gram_schmidt(V, geometry.RANK_TOL * scale, d)
+        for b in range(B):
+            ref = _orthonormalize(V[b], d)
+            assert span[b, :rank[b]].shape == ref.shape
+            assert span[b, :rank[b]].tobytes() == ref.tobytes()
 
 
 def test_lp_complement_matches_per_vector_gram_schmidt():
@@ -309,10 +328,26 @@ def test_hull_facets_match_per_subset_oracle():
                 basis = np.linalg.qr(rng.standard_normal((3, 3)))[0][:k]
                 cases.append(rng.standard_normal(3) * scale
                              + rng.standard_normal((int(rng.integers(k + 1, 8)), k)) @ basis)
+    cases += [rng.standard_normal((40, 2)), rng.standard_normal((16, 3))]
     for pts in cases:
         aff = affine_span(pts, pts.shape[1])
         got = hull_facet_halfspaces(pts, aff)
         assert len(got) >= 2
+        assert _facet_rows(got) == _facet_rows(hull_facets_oracle(pts, aff))
+
+
+@pytest.mark.parametrize("entries", [1, 50])
+def test_hull_facets_agree_across_blocks(monkeypatch, entries):
+    # one subset a block, and blocks that split the subsets unevenly
+    monkeypatch.setattr(geometry, "_HULL_ENTRIES", entries)
+    rng = np.random.default_rng(45)
+    cases = [rng.standard_normal((9, 2)), rng.integers(-2, 3, (10, 2)).astype(float),
+             rng.standard_normal((8, 3)), 1e6 + rng.standard_normal((7, 3))]
+    basis = np.linalg.qr(rng.standard_normal((3, 3)))[0][:2]
+    cases.append(rng.standard_normal(3) + rng.standard_normal((8, 2)) @ basis)
+    for pts in cases:
+        aff = affine_span(pts, pts.shape[1])
+        got = hull_facet_halfspaces(pts, aff)
         assert _facet_rows(got) == _facet_rows(hull_facets_oracle(pts, aff))
 
 

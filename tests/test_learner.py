@@ -29,7 +29,7 @@ from ppmlearn.model import EmptySampleError, LabeledSample, PPMDataset, empirica
 from ppmlearn.data import GeneratorSpec, generate
 from ppmlearn.privacy import mechanism_distribution
 
-from oracles import erm_1d_mistakes, erm_brute_force, family_oracle, unrank_walk
+from oracles import erm_1d_mistakes, erm_brute_force, family_oracle, predict_oracle, unrank_walk
 
 
 def labeled(X, y):
@@ -347,6 +347,27 @@ def test_predict_many_matches_predict():
     for g in itertools.islice(G, 12):
         batch = predict_many(g, fam, X)
         assert [predict(g, fam, x) for x in X] == list(batch)
+        assert [predict_oracle(g, fam, x) for x in X] == list(batch)
+
+
+def test_predict_many_matches_scalar_oracle():
+    # probes on the member hyperplanes and the public points, where the
+    # tolerances decide, and random ones; full-rank and low-rank public sets
+    rng = np.random.default_rng(13)
+    for dim, rank, scale in [(1, 1, 1.0), (2, 2, 1.0), (2, 1, 1.0), (2, 2, 1e4),
+                             (3, 3, 1.0), (3, 2, 1.0), (3, 1, 1e-3)]:
+        pub = (rng.standard_normal(dim) * scale
+               + rng.integers(-2, 3, (6, rank)) @ rng.standard_normal((rank, dim)))
+        fam = construct_halfspace_family(
+            LabeledSample(pub, np.zeros(6, dtype=np.uint8), np.arange(6)), dim)
+        Y = rng.standard_normal((fam.size, dim)) + pub.mean(axis=0)
+        on_planes = Y - (np.einsum("ij,ij->i", Y, fam.W) - fam.w0)[:, None] * fam.W
+        X = np.vstack([pub, on_planes, fam.aff.from_chart(fam.aff.to_chart(Y)),
+                       pub.mean(axis=0) + 3.0 * rng.standard_normal((20, dim))])
+        for r in rng.integers(0, class_cardinality(fam.size, dim), 60):
+            g = unrank_hypothesis(int(r), fam.size, dim)
+            batch = predict_many(g, fam, X)
+            assert [predict_oracle(g, fam, x) for x in X] == list(batch)
 
 
 def test_hypothesis_error_matches_empirical_error():
@@ -355,7 +376,7 @@ def test_hypothesis_error_matches_empirical_error():
     fam = construct_halfspace_family(partition(ds)[0], 2)
     for g in itertools.islice(enumerate_class(fam, 2), 8):
         fast = hypothesis_error(g, fam, s_prime)
-        ref = empirical_error(lambda x: predict(g, fam, x), s_prime)
+        ref = empirical_error(lambda x: predict_oracle(g, fam, x), s_prime)
         assert fast.mistakes == ref.mistakes
 
 
