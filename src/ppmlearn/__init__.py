@@ -52,7 +52,6 @@ from .learner import (
 from .model import (
     EmptySampleError,
     ErrorCount,
-    Example,
     LabeledSample,
     PPMDataset,
     empirical_error,

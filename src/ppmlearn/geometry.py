@@ -272,10 +272,12 @@ def supporting_hyperplanes(X, combos):
     1 <= k <= d, one subset per row; ``supporting_halfspace_pair`` returns
     row b of the result first for ``X[combos[b]]``. The centered points are
     orthonormalized in order (``_gram_schmidt``), keeping directions whose
-    residual norm exceeds RANK_TOL * scale. The normal is the first standard
-    basis vector whose residual against that span exceeds RANK_TOL,
-    normalized (so canonical already), with its first coordinate above
-    1e-12 in magnitude made positive. The offset is the normal's inner
+    residual norm exceeds RANK_TOL * scale, at most k - 1 of them: k centered
+    points span no more, and far from the origin the rounding of the
+    centering alone can leave a k-th residual above that. The normal is the
+    first standard basis vector whose residual against that span exceeds
+    RANK_TOL, normalized (so canonical already), with its first coordinate
+    above 1e-12 in magnitude made positive. The offset is the normal's inner
     product with the subset's first point.
     """
     X = np.asarray(X, dtype=float)
@@ -285,12 +287,9 @@ def supporting_hyperplanes(X, combos):
     P = X[combos]                                    # (B, k, d)
     V = P - P.mean(axis=1, keepdims=True)
     scale = 1.0 + np.max(np.abs(V), axis=(1, 2), initial=0.0)
-    # room for d rows: far from the origin k centered points can reach rank k
-    span, rank = _gram_schmidt(V, RANK_TOL * scale, dim)
+    span, rank = _gram_schmidt(V, RANK_TOL * scale, combos.shape[1] - 1)
     normal = rank.copy()
     _gram_schmidt(np.broadcast_to(np.eye(dim), (B, dim, dim)), RANK_TOL, normal + 1, span, rank)
-    if np.any(rank == normal):
-        raise ValueError("supporting points already span the full space")
     W = span[np.arange(B), normal]
     big = np.abs(W) > 1e-12
     lead = W[np.arange(B), np.argmax(big, axis=1)]

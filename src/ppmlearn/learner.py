@@ -39,6 +39,7 @@ from .geometry import (
     Halfspace,
     MEM_TOL,
     RANK_TOL,
+    _gram_schmidt,
     affine_span,
     dedup_rows,
     supporting_hyperplanes,
@@ -649,16 +650,16 @@ def _unrank_combination(rank: int, m: int, size: int) -> tuple[int, ...]:
 
 
 # The candidates are the two constant classifiers and, for every point
-# subset of size <= d, its supported hyperplane in four variants: both
-# orientations, and the boundary nudged by -delta and by +delta. Below
-# d = 4 the variants are counted from the sides the points lie on, after
-# one sort (d = 1, and the singletons at d = 2) or one angular sort per
-# pivot (d = 2 and 3, ``_erm_sweep``). Rows whose counts the sides cannot
-# settle are scored against every point instead: the constants, the
-# singletons and pairs at d = 3, every hyperplane with another point
-# inside that point's margin and, at d = 3, every plane whose row may
-# stray too far from the sweep's plane. At d >= 4 every candidate is
-# scored that way.
+# subset of size <= d, its supported hyperplane (``supporting_hyperplanes``)
+# in four variants: both orientations, and the boundary nudged by -delta
+# and by +delta. The variants are counted from the sides the points lie on:
+# the singletons, whose hyperplane is the threshold x[0] = X[i, 0] at every
+# d, after one sort, and the subsets of size d after one angular sort per
+# pivot (``_erm_sweep``). Rows whose counts the sides cannot settle are
+# scored against every point instead: the constants, the subsets of sizes
+# 2 to d - 1, every hyperplane with another point inside that point's
+# margin and every plane whose row may stray too far from the sweep's
+# plane, at d >= 4 every plane.
 
 
 def _variants(W, w0, delta):
@@ -666,13 +667,6 @@ def _variants(W, w0, delta):
     (w, w0 - delta), (w, w0 + delta), (-w, -w0 - delta), (-w, -w0 + delta)."""
     return (np.vstack([W, W, -W, -W]),
             np.concatenate([w0 - delta, w0 + delta, -w0 - delta, -w0 + delta]))
-
-
-def _variant_rows(W, w0, variant, delta):
-    """Variant ``variant[k]`` of hyperplane row k."""
-    W4, b4 = _variants(W, w0, delta)
-    pick = variant * w0.size + np.arange(w0.size)
-    return W4[pick], b4[pick]
 
 
 def _variant_mistakes(inside, off, on0, on1):
@@ -684,29 +678,11 @@ def _variant_mistakes(inside, off, on0, on1):
                      off - inside + on0, off - inside + on1])
 
 
-def _keys(*columns):
-    """Candidate-order keys: integer columns compared lexicographically,
-    which place each candidate where the enumeration lists it."""
-    return np.column_stack(np.broadcast_arrays(*columns)).astype(np.int64)
-
-
 def _margins(X, delta):
     """Twice the distance from a hyperplane within which a point's side
     does not settle its membership in the variants (delta plus the point's
     membership tolerance); the factor covers float error."""
     return 2.0 * (delta + MEM_TOL * (1.0 + np.linalg.norm(X, axis=1)))
-
-
-def _pair_hyperplanes(X, ii, jj):
-    """Lines through X[i] and X[j]: unit normal with a positive leading
-    component, and offset."""
-    diff = X[jj] - X[ii]
-    nrm = np.linalg.norm(diff, axis=1)
-    d = diff / nrm[:, None]
-    W = np.stack([-d[:, 1], d[:, 0]], axis=1)
-    lead = np.where(np.abs(W[:, 0]) > 1e-12, W[:, 0], W[:, 1])
-    W *= np.sign(lead)[:, None]
-    return W, np.einsum("ij,ij->i", W, X[ii])
 
 
 def _halfspace_mistakes(W, w0, X, y) -> np.ndarray:
@@ -749,16 +725,16 @@ def _halfspace_mistakes(W, w0, X, y) -> np.ndarray:
 
 
 class _Minimizers:
-    """Running minimum of the candidates' mistakes and the candidates that
-    attain it, each with its candidate-order key."""
+    """Running minimum of the candidates' mistakes and the candidate rows
+    that attain it."""
 
     def __init__(self, X, y):
         self.X, self.y = X, y
         self.count = None
         self.tied = []
 
-    def offer(self, mistakes, rows):
-        """``rows(mask)`` builds (W, w0, keys) of the masked candidates."""
+    def offer(self, mistakes, W, w0):
+        """Candidate rows (W, w0) with their mistakes."""
         if mistakes.size == 0:
             return
         low = int(mistakes.min())
@@ -766,27 +742,30 @@ class _Minimizers:
             return
         if self.count is None or low < self.count:
             self.count, self.tied = low, []
-        self.tied.append(rows(mistakes == low))
+        at = mistakes == low
+        self.tied.append((W[at], w0[at]))
 
-    def score(self, W, w0, keys):
+    def score(self, W, w0):
         """Offer candidate rows scored against every point."""
-        self.offer(_halfspace_mistakes(W, w0, self.X, self.y),
-                   lambda mask: (W[mask], w0[mask], keys[mask]))
+        self.offer(_halfspace_mistakes(W, w0, self.X, self.y), W, w0)
 
     def pick(self):
-        """The tied row with the least (w, w0) in lexicographic order;
-        equal rows go to the first in candidate order."""
-        W, w0, keys = (np.concatenate(parts) for parts in zip(*self.tied))
-        k = int(np.lexsort((*keys.T[::-1], w0, *W.T[::-1]))[0])
-        return Halfspace(W[k], float(w0[k])), self.count
+        """The tied row with the least (w, w0) in lexicographic order, its
+        signed zeros cleared. Rows that tie in that order are bitwise equal
+        but for the sign of a zero, so the order of the candidates does not
+        change the result."""
+        W, w0 = (np.concatenate(parts) for parts in zip(*self.tied))
+        k = int(np.lexsort((w0, *W.T[::-1]))[0])
+        return Halfspace(W[k] + 0.0, float(w0[k]) + 0.0), self.count
 
 
 def _erm_thresholds(best: _Minimizers, delta: float) -> None:
     """The variants of the hyperplane with normal e1 through every point,
-    the thresholds x[0] = X[i, 0]: every candidate at d = 1 and the
-    singletons at d = 2, counted after one sort. A threshold is crowded
-    when a sorted neighbour lies within the largest margin of it; a farther
-    point then lies outside its own margin too."""
+    the thresholds x[0] = X[i, 0], counted after one sort: every candidate
+    at d = 1, and the singletons at every d, whose supported hyperplane
+    (``supporting_hyperplanes``) is that row. A threshold is crowded when a
+    sorted neighbour lies within the largest margin of it; a farther point
+    then lies outside its own margin too."""
     x = best.X[:, 0]
     n, dim = best.X.shape
     order = np.argsort(x, kind="stable")
@@ -799,81 +778,50 @@ def _erm_thresholds(best: _Minimizers, delta: float) -> None:
     p = np.arange(n)
     below1, above1 = ones[:-1], ones[-1] - ones[1:]
     counts = _variant_mistakes((n - 1 - p - above1) + below1, n - 1, 1 - ys, ys)
-    clean = order[~crowded]
     e1 = np.eye(dim)[:1]
-
-    def rows(mask):
-        variant, at = np.nonzero(mask.reshape(4, -1))
-        i = clean[at]
-        W, w0 = _variant_rows(np.repeat(e1, i.size, axis=0), x[i], variant, delta)
-        return W, w0, _keys(1, variant, i)
-
-    best.offer(counts[:, ~crowded].ravel(), rows)
+    i = order[~crowded]
+    best.offer(counts[:, ~crowded].ravel(),
+               *_variants(np.repeat(e1, i.size, axis=0), x[i], delta))
     i = order[crowded]
-    best.score(*_variants(np.repeat(e1, i.size, axis=0), x[i], delta),
-               _keys(1, np.repeat(np.arange(4), i.size), np.tile(i, 4)))
+    best.score(*_variants(np.repeat(e1, i.size, axis=0), x[i], delta))
 
 
-# the error bound of a d = 3 row, per unit of scale^2 / h, and the largest
-# stray of a row from its sweep plane that the margins absorb (``_erm_sweep``)
+# the error bound of a row, per unit of scale^(d - 1) / (spread r), and the
+# largest stray of a row from its sweep plane that the margins absorb
+# (``_erm_sweep``)
 _ROW_ERROR = 128 * np.finfo(float).eps
 _ROW_STRAY = 2.5e-10
 
 
-def _rotation_plane(X, piv):
+def _rotation_plane(X, piv, scale):
     """The plane in which a hyperplane through the pivot points ``piv``
-    (c, d - 1) turns: the 2-D complement of their direction span.
+    (c, d - 1) turns: the 2-D complement of their d - 2 differences D from
+    the pivot's first point.
 
+    Gram-Schmidt (``_gram_schmidt``) runs on D, keeping residuals above
+    RANK_TOL * scale, then on the standard basis up to d rows; the last two
+    rows are the orthonormal frame (c, 2, d), the identity at d = 2.
     Returns the coordinates (p, q), each (c, n), of every point minus the
-    pivot's first point in an orthonormal frame (c, 2, d) of that plane,
-    and the pivot's spread. At d = 2 the plane is the space itself, the
-    differences are used as they are and the spread is None. At d = 3 the
-    frame is normal to u = X[j] - X[i] (any frame where u = 0), the spread
-    is |u|, and one GEMM projects the points.
+    pivot's first point in that frame, the frame, the spread
+    sqrt(det(D D^T)) (1 at d = 2, |u| at d = 3 with u = X[j] - X[i]), and
+    whether D has rank below d - 2.
     """
     c, dim = piv.shape[0], X.shape[1]
     base = X[piv[:, 0]]
-    if dim == 2:
-        p, q = np.ascontiguousarray(X.T)[:, None, :] - base.T[:, :, None]
-        return p, q, np.broadcast_to(np.eye(2), (c, 2, 2)), None
-    u = X[piv[:, 1]] - base
-    rho = np.linalg.norm(u, axis=1)
-    u[rho == 0] = (1.0, 0.0, 0.0)
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    # a: the axis least aligned with u, made normal to it; b = u x a
-    a = np.zeros((c, 3))
-    a[np.arange(c), np.argmin(np.abs(u), axis=1)] = 1.0
-    a -= np.einsum("ij,ij->i", u, a)[:, None] * u
-    a /= np.linalg.norm(a, axis=1)[:, None]
-    frame = np.stack([a, np.cross(u, a)], axis=1)
-    pq = (frame.reshape(2 * c, 3) @ X.T).reshape(c, 2, -1)
-    pq -= np.einsum("cst,ct->cs", frame, base)[:, :, None]
-    return pq[:, 0], pq[:, 1], frame, rho
-
-
-def _plane_rows(X, combos):
-    """The supported hyperplane of every point subset ``combos`` (rows of
-    d increasing indices): the line rule at d = 2, Gram-Schmidt at d = 3."""
-    if combos.shape[1] == 2:
-        return _pair_hyperplanes(X, combos[:, 0], combos[:, 1])
-    return supporting_hyperplanes(X, combos)
-
-
-def _plane_keys(combos, n, variant):
-    """Candidate-order keys of variant ``variant`` of the hyperplanes of
-    ``combos``: (2, variant, pair) at d = 2 and (1, subset, variant) at
-    d = 3, a triple's subset index following the n singletons and the
-    C(n, 2) pairs in lexicographic order."""
-    if combos.shape[1] == 2:
-        return _keys(2, variant, combos[:, 0] * n + combos[:, 1])
-    i, j, l = combos.T
-    rank = (math.comb(n, 3) - (n - i) * (n - i - 1) * (n - i - 2) // 6
-            + (n - i - 1) * (n - i - 2) // 2 - (n - j) * (n - j - 1) // 2 + l - j - 1)
-    return _keys(1, n + math.comb(n, 2) + rank, variant)
+    D = X[piv[:, 1:]] - base[:, None]
+    span, rank = _gram_schmidt(D, RANK_TOL * scale, dim - 2)
+    deficient = rank < dim - 2
+    _gram_schmidt(np.broadcast_to(np.eye(dim), (c, dim, dim)), RANK_TOL, dim, span, rank)
+    frame = span[:, dim - 2:]
+    pq = (frame.reshape(2 * c, dim) @ X.T).reshape(c, 2, -1)
+    pq -= frame @ base[:, :, None]
+    # abs: rounding can take the determinant of a singular D D^T below 0
+    spread = np.sqrt(np.abs(np.linalg.det(D @ D.transpose(0, 2, 1))))
+    return pq[:, 0], pq[:, 1], frame, spread, deficient
 
 
 def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
-    """d = 2 and 3: the variants of the hyperplane through every d points.
+    """d >= 2: the variants of the hyperplane through every d points.
 
     A hyperplane through the d - 1 points of a pivot turns about them in
     their rotation plane (``_rotation_plane``). There, seen from the
@@ -893,41 +841,54 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
     of phi_k, modulo pi, r_k being X[k]'s distance from the pivot's affine
     hull. Candidates that such a window reaches are crowded, and scored
     against every point. A point with w_k >= 0.5 crowds every candidate of
-    its pivot, as does at d = 3 a pair closer than RANK_TOL * scale.
-    Outside every window X[k] lies at least (2/pi) margin_k =
-    1.27 (delta + tol_k) from the sweep's plane. The spare
-    0.27 (delta + tol_k) >= 1.09e-9 * scale absorbs the rounding of the
-    angles and of the membership test, a few ulps of scale each, and at
-    d = 3 the stray of the row from the sweep's plane.
+    its pivot, as do pivot differences of rank below d - 2. Outside every
+    window X[k] lies at least (2/pi) margin_k = 1.27 (delta + tol_k) from
+    the sweep's plane. The spare 0.27 (delta + tol_k) >= 1.09e-9 * scale
+    absorbs the rounding of the angles and of the membership test, a few
+    ulps of scale each, and the stray of the row from the sweep's plane.
 
-    At d = 3 the row W is Gram-Schmidt on the centred triple
-    (``supporting_hyperplanes``), not n_l. Let n be the exact normal of
-    the triple and h = |u| r_l twice its area. The frame is orthonormal
-    and normal to u within a few eps, and X[l]'s coordinates err by at
-    most 4 eps scale, its angle by at most 6 eps scale / r_l, so n_l lies
-    within 40 eps scale / r_l <= 80 eps scale^2 / h of +-n. Centring errs
-    by 3 eps scale per coordinate, and the centred triple's smaller
-    singular value is at least h / (4 scale), as the two multiply to
-    h / sqrt(3) and the larger is at most 2.31 scale, so the normal of the
-    computed span, two-pass rounding included, lies within
+    The row W is Gram-Schmidt on the centred subset
+    (``supporting_hyperplanes``), not n_l. Let n be the exact normal of the
+    subset, s the pivot's spread and eta = _ROW_ERROR * scale^(d-1) /
+    (s r_l); W lies within 2 eta of +-n_l, as below. A plane is settled
+    only if 2 eta <= _ROW_STRAY. The row then moves a point by at most
+    2 _ROW_STRAY scale = 5e-10 * scale, under half the spare, and holds
+    the subset within that of its boundary, well inside delta - tol, so
+    the subset counts as on it. The other planes are crowded: a point near
+    the pivot's hull, a rank-deficient subset or near-coincident pivots. At
+    d >= 4 no such bound is proven yet, and every plane is crowded.
+
+    At d = 2 the frame is exact and X[l]'s coordinates are its difference
+    from X[i], rounded once, so n_l lies within 8 eps <= 16 eps scale / r_l
+    of +-n. Centring the pair errs by eps scale per coordinate, so the
+    direction Gram-Schmidt keeps lies within 3 eps scale / r_l of the
+    pair's, and its second pass leaves W normal to it within 4 eps <=
+    8 eps scale / r_l: W is within 11 eps scale / r_l of +-n and within
+    27 eps scale / r_l <= 2 eta of +-n_l. The rank stays 1, as
+    r_l >= 2.3e-4 scale: the kept residual r_l / 2 is far above
+    RANK_TOL (1 + r_l / 2), and the kernel keeps at most one direction for
+    two points.
+
+    At d = 3 let h = s r_l = |u| r_l, twice the triangle's area. The frame
+    is orthonormal and normal to u within a few eps, and X[l]'s coordinates
+    err by at most 4 eps scale, its angle by at most 6 eps scale / r_l, so
+    n_l lies within 40 eps scale / r_l <= 80 eps scale^2 / h of +-n.
+    Centring errs by 3 eps scale per coordinate, and the centred triple's
+    smaller singular value is at least h / (4 scale), as the two multiply
+    to h / sqrt(3) and the larger is at most 2.31 scale, so the normal of
+    the computed span, two-pass rounding included, lies within
     64 eps scale^2 / h of +-n. The residual of the axis that Gram-Schmidt
     takes has a norm above RANK_TOL, and its second pass leaves it normal
     to that span within a few eps of that norm; so W is within
-    64 eps scale^2 / h + 4 eps of +-n, and within 2 eta of +-n_l, with
-    eta = _ROW_ERROR * scale^2 / h. A plane is settled only if
-    2 eta <= _ROW_STRAY. The row then moves a point by at most
-    2 _ROW_STRAY scale = 5e-10 * scale, under half the spare, and holds
-    the triple within that of its boundary, well inside delta - tol, so
-    the triple counts as on it. The rank stays 2, as h >= 2.3e-4 scale^2:
-    the kept directions have residuals of at least h / (4 scale), and the
-    third, at most 3 eps scale + eta max|V|, stays under
-    RANK_TOL (1 + max|V|). The other planes are crowded: a third point
-    near the pivot axis, a rank-deficient triple or near-coincident pivots.
+    64 eps scale^2 / h + 4 eps of +-n, and within 2 eta of +-n_l. The rank
+    stays 2, as h >= 2.3e-4 scale^2: the kept directions have residuals of
+    at least h / (4 scale), above RANK_TOL (1 + max|V|), and the kernel
+    keeps at most two directions for three points.
 
     The variants are formed only for candidates whose best variant,
     min(a, off - a) + min(on1, on0), reaches the running minimum; their
-    rows come from ``_plane_rows`` and their orientation from the sign of
-    W . n_l. Pivots run in chunks, so memory stays O(chunk * n).
+    orientation follows from the sign of W . n_l. Pivots run in chunks, so
+    memory stays O(chunk * n).
     """
     X = best.X
     y = best.y.astype(bool)
@@ -941,7 +902,7 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
     for lo in range(0, pivots.shape[0], step):
         piv = pivots[lo:lo + step]
         c = piv.shape[0]
-        p, q, frame, rho = _rotation_plane(X, piv)
+        p, q, frame, spread, deficient = _rotation_plane(X, piv, scale)
         theta = np.arctan2(q, p)
         theta[np.arange(c)[:, None], piv] = np.inf  # the pivot sorts last
         k = np.argsort(np.where(theta < 0, theta + np.pi, theta), axis=1)[:, :m]
@@ -955,9 +916,8 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
         # shifts of 16 keep the rows apart, and the slack covers their rounding
         with np.errstate(divide="ignore"):
             w = margin[k] / r
-        hull = np.any(w >= 0.5, axis=1)
-        if rho is not None:
-            hull |= rho <= RANK_TOL * scale
+        # at d >= 4 no bound on the row's stray is proven: every plane is crowded
+        hull = deficient | (dim > 3) | np.any(w >= 0.5, axis=1)
         w += 1e-12 + 8 * np.spacing(16.0 * c + 2 * np.pi)
         gap = np.empty((c, m))
         np.subtract(phi[:, 1:], phi[:, :-1], out=gap[:, :-1])
@@ -976,13 +936,9 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
                 - np.bincount(np.searchsorted(flat, start + 2 * w[own], side="right"),
                               minlength=flat.size + 1))[:-1].reshape(c, 2 * m)
             crowded |= cover[:, :m] + cover[:, m:] - own > 0
-
+        # planes whose row may stray too far from the sweep's plane
+        crowded |= spread[:, None] * r < (2 * _ROW_ERROR / _ROW_STRAY) * scale ** (dim - 1)
         line = k > piv[:, -1:]
-        if dim == 2:
-            line &= r > RANK_TOL * scale  # coincident pairs repeat the singleton rows
-        else:
-            # planes whose row may stray too far from the sweep's plane
-            crowded |= rho[:, None] * r < (2 * _ROW_ERROR / _ROW_STRAY) * scale * scale
 
         # mistakes off the candidate with the positive side of n_l inside,
         # the 0-labels on that side and the 1-labels on the other: a later
@@ -997,39 +953,30 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
         if clean.any():
             lower = np.minimum(a, off - a) + np.minimum(on1, dim - on1)
             low = int(lower[clean].min())
-            if best.count is None or low <= best.count:
+            if low <= best.count:
                 ci, cj = np.nonzero(clean & (lower == low))
-                combos = np.column_stack([piv[ci], k[ci, cj]])
-                W, w0 = _plane_rows(X, combos)
+                W, w0 = supporting_hyperplanes(X, np.column_stack([piv[ci], k[ci, cj]]))
                 flip = np.einsum("ij,ij->i", W, np.cos(phi[ci, cj, None]) * frame[ci, 1]
                                  - np.sin(phi[ci, cj, None]) * frame[ci, 0]) < 0
                 counts = _variant_mistakes(np.where(flip, off - a[ci, cj], a[ci, cj]), off,
                                            dim - on1[ci, cj], on1[ci, cj])
-
-                def rows(mask):
-                    variant, at = np.nonzero(mask.reshape(4, -1))
-                    return (*_variant_rows(W[at], w0[at], variant, delta),
-                            _plane_keys(combos[at], n, variant))
-
-                best.offer(counts.ravel(), rows)
+                best.offer(counts.ravel(), *_variants(W, w0, delta))
         ci, cj = np.nonzero(line & crowded)
         if ci.size:
-            combos = np.column_stack([piv[ci], k[ci, cj]])
-            best.score(*_variants(*_plane_rows(X, combos), delta),
-                       _plane_keys(np.tile(combos, (4, 1)), n, np.repeat(np.arange(4), ci.size)))
+            best.score(*_variants(*supporting_hyperplanes(
+                X, np.column_stack([piv[ci], k[ci, cj]])), delta))
 
 
 def erm_halfspace(S_prime: LabeledSample, dim: int):
     """Exact empirical-risk-minimizing halfspace over the candidate set
-    above; ties broken by lexicographic (w, w0).
+    above; ties broken by lexicographic (w, w0), signed zeros cleared.
 
-    O(n log n) at d = 1, O(n^2 log n) at d = 2 and O(n^3 log n) at d = 3,
-    by one sort (d = 1, and the singletons at d = 2) or one angular sort
-    per pivot (``_erm_sweep``), plus O(n) per candidate scored against
-    every point: the singletons and pairs at d = 3, O(n^3) in all, and the
-    crowded hyperplanes. At d >= 4 every candidate is scored against every
-    point, O(n^(d+1)). Refuses a ``dim`` below 1 or other than the
-    sample's.
+    O(n log n) at d = 1 and O(n^d log n) at d = 2 and 3, by one sort for
+    the singletons and one angular sort per pivot (``_erm_sweep``), plus
+    O(n) per candidate scored against every point: the subsets of sizes 2
+    to d - 1 (the pairs at d = 3, O(n^3) in all) and the crowded
+    hyperplanes. At d >= 4 every plane is crowded, O(n^(d+1)). Refuses a
+    ``dim`` below 1 or other than the sample's.
     """
     if S_prime.n == 0:
         raise EmptySampleError("empty sample")
@@ -1040,26 +987,13 @@ def erm_halfspace(S_prime: LabeledSample, dim: int):
     scale = 1.0 + float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
     delta = 4.0 * MEM_TOL * scale
     best = _Minimizers(X, S_prime.y)
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    proj = X @ e1
     # constant classifiers: everything inside (all label 1) / nothing inside
-    best.score(np.vstack([e1, e1]),
-               np.array([float(proj.min()) - scale, float(proj.max()) + scale]),
-               _keys(0, 0, [0, 1]))
-    if dim <= 2:
-        # the thresholds, and at d = 2 the singletons: normal e1 through a point
-        _erm_thresholds(best, delta)
-    else:
-        # every subset the sweep does not count: below size 3 at d = 3
-        top = 2 if dim == 3 else dim
-        planes = [supporting_hyperplanes(X, _combinations(n, size))
-                  for size in range(1, min(top, n) + 1)]
-        W, w0 = (np.concatenate(parts) for parts in zip(*planes))
-        subset = np.arange(w0.size)
-        best.score(*_variants(W, w0, delta),
-                   _keys(1, np.tile(subset, 4), np.repeat(np.arange(4), subset.size)))
-    if dim in (2, 3):
+    best.score(np.eye(dim)[[0, 0]],
+               np.array([float(X[:, 0].min()) - scale, float(X[:, 0].max()) + scale]))
+    _erm_thresholds(best, delta)
+    for size in range(2, min(dim - 1, n) + 1):
+        best.score(*_variants(*supporting_hyperplanes(X, _combinations(n, size)), delta))
+    if dim >= 2:
         _erm_sweep(best, scale, delta, dim)
     h, count = best.pick()
     return h, ErrorCount(count, S_prime.n)

@@ -44,30 +44,6 @@ def curator_only_fields(cls) -> frozenset[str]:
 
 
 @dataclass(frozen=True, eq=False)
-class Example:
-    """One example: feature vector x, binary label y, privacy bit p.
-
-    p is True for private examples. Under the label-determined privacy
-    model, p == (y == 1).
-    """
-
-    x: np.ndarray
-    y: int
-    p: bool
-
-    def __post_init__(self):
-        x = np.array(np.asarray(self.x, dtype=float))
-        if x.ndim != 1 or not np.all(np.isfinite(x)):
-            raise ValueError("x must be a finite vector")
-        if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y}")
-        x.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", int(self.y))
-        object.__setattr__(self, "p", bool(self.p))
-
-
-@dataclass(frozen=True, eq=False)
 class LabeledSample:
     """Ordered labeled examples (no privacy bits), as arrays.
 
@@ -153,16 +129,6 @@ class PPMDataset:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "p", p)
 
-    @classmethod
-    def from_examples(cls, dim: int, examples) -> "PPMDataset":
-        ex = list(examples)
-        if not ex:
-            raise EmptySampleError("empty dataset rejected")
-        X = np.vstack([e.x for e in ex])
-        y = np.array([e.y for e in ex], dtype=np.uint8)
-        p = np.array([e.p for e in ex], dtype=bool)
-        return cls(dim=dim, X=X, y=y, p=p)
-
     @property
     def n(self) -> int:
         return self.X.shape[0]
@@ -174,13 +140,6 @@ class PPMDataset:
     @property
     def n_pub(self) -> int:
         return self.n - self.n_priv
-
-    @property
-    def examples(self):
-        return [Example(self.X[i], int(self.y[i]), bool(self.p[i])) for i in range(self.n)]
-
-    def example(self, i: int) -> Example:
-        return Example(self.X[i], int(self.y[i]), bool(self.p[i]))
 
 
 def partition(dataset: PPMDataset):

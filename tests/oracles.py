@@ -2,11 +2,13 @@
 
 Everything here is deliberately written a different way from the library:
 sort-and-scan for 1-d ERM, brute-force ERM that scores every candidate
-against every point, a per-subset halfspace family with grid-bucket
-deduplication, a per-subset hull-facet loop, a point-by-point and
-member-by-member hypothesis prediction, an orientation-predicate hull,
-vertex enumeration for 2-d feasibility, elimination-based rank, and the
-plain exponential-mechanism formula without log-space shifting.
+against every point (its rows at d >= 2 come from the library's batched
+kernel, checked bit for bit against the per-subset Gram-Schmidt here), a
+per-subset halfspace family with grid-bucket deduplication, a per-subset
+hull-facet loop, a point-by-point and member-by-member hypothesis
+prediction, an orientation-predicate hull, vertex enumeration for 2-d
+feasibility, elimination-based rank, and the plain exponential-mechanism
+formula without log-space shifting.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ import math
 
 import numpy as np
 
-from ppmlearn.geometry import DEDUP_TOL, MEM_TOL, RANK_TOL, Halfspace, point_tolerance
+from ppmlearn.geometry import (
+    DEDUP_TOL,
+    MEM_TOL,
+    RANK_TOL,
+    Halfspace,
+    point_tolerance,
+    supporting_hyperplanes,
+)
 
 
 def erm_1d_mistakes(xs, ys) -> int:
@@ -50,59 +59,32 @@ def erm_1d_mistakes(xs, ys) -> int:
 def erm_candidates(X, dim):
     """Every ERM candidate row (W, w0): the two constant classifiers, then
     the supported hyperplane of every point subset of size <= d in four
-    variants (both orientations, boundary nudged in and out). For d <= 2
-    the rows are variant-major and a coincident pair degrades to the
-    singleton rule; for d >= 3 they are subset-major, each hyperplane
-    built by ``supporting_pair_oracle``."""
+    variants (both orientations, boundary nudged in and out). At d = 1 a
+    subset's hyperplane is the threshold at its point; at d >= 2 the rows
+    come from the batched kernel ``supporting_hyperplanes``, which
+    ``test_supporting_hyperplanes_match_the_per_subset_oracle`` checks bit
+    for bit against ``supporting_pair_oracle`` on every subset."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     scale = 1.0 + float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
     delta = 4.0 * MEM_TOL * scale
-    rows_w, rows_b = [], []
-
-    def add_variants(W, w0):
-        rows_w.extend([W, W, -W, -W])
-        rows_b.extend([w0 - delta, w0 + delta, -w0 - delta, -w0 + delta])
-
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    proj = X @ e1
-    rows_w.extend([e1[None, :], e1[None, :]])
-    rows_b.extend([np.array([float(proj.min()) - scale]),
-                   np.array([float(proj.max()) + scale])])
+    e1 = np.eye(dim)[0]
     if dim == 1:
-        add_variants(np.ones((n, 1)), X[:, 0])
-        return np.vstack(rows_w), np.concatenate(rows_b)
-    if dim >= 3:
-        hs = [supporting_pair_oracle(X[list(combo)], dim)[0]
-              for size in range(1, dim + 1)
-              for combo in itertools.combinations(range(n), size)]
-        W = np.array([h.normal for h in hs])
-        w0 = np.array([h.offset for h in hs])
-        rows_w.append(np.stack([W, W, -W, -W], axis=1).reshape(-1, dim))
-        rows_b.append(np.stack([w0 - delta, w0 + delta, -w0 - delta, -w0 + delta],
-                               axis=1).ravel())
-        return np.vstack(rows_w), np.concatenate(rows_b)
-    add_variants(np.tile(e1, (n, 1)), X[:, 0].copy())
-    ii, jj = np.triu_indices(n, k=1)
-    diff = X[jj] - X[ii]
-    nrm = np.linalg.norm(diff, axis=1)
-    ok = nrm > RANK_TOL * scale
-    if np.any(ok):
-        d_ok = diff[ok] / nrm[ok, None]
-        W = np.stack([-d_ok[:, 1], d_ok[:, 0]], axis=1)
-        lead = np.where(np.abs(W[:, 0]) > 1e-12, W[:, 0], W[:, 1])
-        W *= np.sign(lead)[:, None]
-        add_variants(W, np.einsum("ij,ij->i", W, X[ii[ok]]))
-    if np.any(~ok):
-        add_variants(np.tile(e1, (int(np.sum(~ok)), 1)), X[ii[~ok], 0])
-    return np.vstack(rows_w), np.concatenate(rows_b)
+        W, w0 = np.ones((n, 1)), X[:, 0]
+    else:
+        planes = [supporting_hyperplanes(X, list(itertools.combinations(range(n), size)))
+                  for size in range(1, min(dim, n) + 1)]
+        W, w0 = (np.concatenate(parts) for parts in zip(*planes))
+    return (np.vstack([e1, e1, W, W, -W, -W]),
+            np.concatenate([[X[:, 0].min() - scale, X[:, 0].max() + scale],
+                            w0 - delta, w0 + delta, -w0 - delta, -w0 + delta]))
 
 
 def erm_brute_force(X, y, dim):
     """(normal, offset, mistakes) of the ERM candidate with the fewest
     mistakes, each candidate scored against every point; ties go to the
-    least (w, w0) in lexicographic order, then to the first row."""
+    least (w, w0) in lexicographic order, then to the first row, and the
+    signed zeros of the result are cleared."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y).astype(bool)
     W, w0 = erm_candidates(X, dim)
@@ -113,7 +95,7 @@ def erm_brute_force(X, y, dim):
     ties = np.flatnonzero(mistakes == best)
     keys = (w0[ties],) + tuple(W[ties, c] for c in reversed(range(dim)))
     pick = ties[np.lexsort(keys)[0]]
-    return W[pick], float(w0[pick]), best
+    return W[pick] + 0.0, float(w0[pick]) + 0.0, best
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +104,14 @@ def erm_brute_force(X, y, dim):
 # ---------------------------------------------------------------------------
 
 
-def _orthonormalize(vectors, dim: int) -> np.ndarray:
+def _orthonormalize(vectors, dim: int, stop: int | None = None) -> np.ndarray:
     basis: list[np.ndarray] = []
+    stop = dim if stop is None else stop
     vecs = np.asarray(vectors, dtype=float).reshape(-1, dim)
     scale = 1.0 + (float(np.max(np.abs(vecs))) if vecs.size else 0.0)
     for v in vecs:
+        if len(basis) == stop:
+            break
         u = v.astype(float)
         for b in basis:
             u = u - (b @ u) * b
@@ -136,8 +121,6 @@ def _orthonormalize(vectors, dim: int) -> np.ndarray:
         norm = float(np.linalg.norm(u))
         if norm > RANK_TOL * scale:
             basis.append(u / norm)
-        if len(basis) == dim:
-            break
     if not basis:
         return np.zeros((0, dim))
     return np.vstack(basis)
@@ -173,11 +156,8 @@ def supporting_pair_oracle(points, dim: int, source=None):
     Gram-Schmidt over that subset alone."""
     P = np.asarray(points, dtype=float).reshape(-1, dim)
     center = P.mean(axis=0)
-    span = _orthonormalize(P - center, dim)
-    comp = _complement_basis(span, dim)
-    if comp.shape[0] == 0:
-        raise ValueError("supporting points already span the full space")
-    w = _sign_canonical(comp[0])
+    span = _orthonormalize(P - center, dim, stop=P.shape[0] - 1)
+    w = _sign_canonical(_complement_basis(span, dim)[0])
     w0 = float(w @ P[0])
     h = Halfspace(w, w0, source=tuple(source) if source is not None else None)
     return h, h.opposite()

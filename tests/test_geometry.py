@@ -1,4 +1,6 @@
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from ppmlearn.geometry import (
     hull_facet_halfspaces,
     region_feasible,
     supporting_halfspace_pair,
+    supporting_hyperplanes,
 )
 
 from oracles import (
@@ -25,6 +28,7 @@ from oracles import (
     hull_facets_oracle,
     matrix_rank_elimination,
     point_in_hull_2d,
+    supporting_pair_oracle,
 )
 
 RT2 = np.sqrt(2.0)
@@ -116,6 +120,38 @@ def test_supporting_pair_deterministic():
     a2 = supporting_halfspace_pair(pts, 3)
     assert np.array_equal(a1[0].normal, a2[0].normal)
     assert a1[0].offset == a2[0].offset
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_supporting_hyperplanes_match_the_per_subset_oracle(dim):
+    # the ERM oracle takes its rows from this kernel, so every subset of
+    # size <= d is checked bit for bit against one Gram-Schmidt per subset,
+    # on random, integer-grid, near-collinear, near-coincident and far-off
+    # samples
+    rng = np.random.default_rng(60 + dim)
+    n = 12 if dim < 3 else 9
+    for trial in range(20):
+        X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-2, 2)
+        if trial % 5 == 1:
+            X = rng.integers(-3, 4, (n, dim)) * (0.25, 1.0, 1000.0)[trial % 3]
+        if trial % 5 == 2:  # points 1e-11 to 1e-7 off lines through two others
+            for k in range(2, n):
+                i, j = rng.choice(k, 2, replace=False)
+                X[k] = (X[i] + rng.uniform(-1.0, 2.0) * (X[j] - X[i])
+                        + 10.0 ** rng.uniform(-11, -7) * rng.standard_normal(dim))
+        if trial % 5 == 3:  # points 1e-13 to 1e-8 from others
+            half = n // 2
+            gap = 10.0 ** rng.uniform(-13, -8, (half, 1))
+            X[:half] = X[n - half:] + gap * rng.standard_normal((half, dim))
+        if trial % 5 == 4:  # a cloud so far off that centring rounds above RANK_TOL
+            X = rng.standard_normal((n, dim)) + 1e7 * rng.standard_normal(dim)
+        for size in range(1, dim + 1):
+            combos = np.array(list(itertools.combinations(range(n), size)))
+            W, w0 = supporting_hyperplanes(X, combos)
+            for b, combo in enumerate(combos):
+                ref = supporting_pair_oracle(X[combo], dim)[0]
+                assert W[b].tobytes() == ref.normal.tobytes()
+                assert w0[b].hex() == ref.offset.hex()
 
 
 # --- affine span -----------------------------------------------------------

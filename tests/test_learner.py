@@ -749,32 +749,40 @@ def test_erm_d3_matches_per_subset_candidates():
         assert_erm_matches_brute_force(X, rng.integers(0, 2, n), 3)
 
 
-def test_erm_d3_settled_rows_stay_near_the_sweep_plane():
-    # the bound that lets the d = 3 sweep count a plane's sides in its own
-    # frame: where twice the triangle's area h is at least
-    # 2 _ROW_ERROR / _ROW_STRAY scale^2, the Gram-Schmidt row lies within
-    # _ROW_STRAY of the sweep's normal, whatever the axis it is built on
-    rng = np.random.default_rng(150)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_erm_settled_rows_stay_near_the_sweep_plane(dim):
+    # the bound that lets the sweep count a plane's sides in its own frame:
+    # where the pivot's spread times X[l]'s distance from its hull (the
+    # pair's length at d = 2, twice the triangle's area at d = 3) is at
+    # least 2 _ROW_ERROR / _ROW_STRAY scale^(d - 1), the Gram-Schmidt row
+    # lies within _ROW_STRAY of the sweep's normal, whatever the axis it is
+    # built on
+    rng = np.random.default_rng(147 + dim)
     worst = 0.0
     for trial in range(40):
         n = 12
-        X = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-2, 2)
-        if trial % 4 == 1:  # near-collinear triples
+        X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-2, 2)
+        if trial % 4 == 1 and dim == 2:  # near-coincident pairs
+            for _ in range(4):
+                i, k = rng.choice(n, 2, replace=False)
+                X[k] = X[i] + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(2)
+        if trial % 4 == 1 and dim == 3:  # near-collinear triples
             for _ in range(4):
                 i, j, k = rng.choice(n, 3, replace=False)
                 X[k] = (X[i] + rng.uniform(-1.0, 2.0) * (X[j] - X[i])
                         + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(3))
-        if trial % 4 == 2:  # normals with a first component near RANK_TOL
+        if trial % 4 == 2:  # first coordinates near RANK_TOL
             X[:, 0] = 10.0 ** rng.uniform(-9.9, -4) * rng.standard_normal(n)
         if trial % 4 == 3:  # a small cloud far from the origin
-            X = rng.standard_normal((n, 3)) * 1e-2 + 100.0 * rng.standard_normal(3)
+            X = rng.standard_normal((n, dim)) * 1e-2 + 100.0 * rng.standard_normal(dim)
         scale = 1.0 + np.linalg.norm(X, axis=1).max()
-        piv = learner._combinations(n - 1, 2)
-        p, q, frame, rho = learner._rotation_plane(X, piv)
-        i, l = np.nonzero(np.arange(n) > piv[:, 1:])
+        piv = learner._combinations(n - 1, dim - 1)
+        p, q, frame, spread, _ = learner._rotation_plane(X, piv, scale)
+        i, l = np.nonzero(np.arange(n) > piv[:, -1:])
         p, q = p[i, l], q[i, l]
         r = np.sqrt(p * p + q * q)
-        settled = rho[i] * r >= 2 * learner._ROW_ERROR / learner._ROW_STRAY * scale ** 2
+        settled = (spread[i] * r
+                   >= 2 * learner._ROW_ERROR / learner._ROW_STRAY * scale ** (dim - 1))
         i, l, p, q = i[settled], l[settled], p[settled], q[settled]
         theta = np.arctan2(q, p)
         phi = np.where(theta < 0, theta + np.pi, theta)[:, None]
@@ -795,12 +803,13 @@ def test_erm_d3_scores_thin_triangles_row_by_row(monkeypatch):
     X[2] = X[0] + 0.4 * (X[1] - X[0]) + 1e-6 * off_line / np.linalg.norm(off_line)
     scored = []
     score = learner._Minimizers.score
-    monkeypatch.setattr(learner._Minimizers, "score", lambda self, W, w0, keys: (
-        scored.append(keys), score(self, W, w0, keys))[1])
+    monkeypatch.setattr(learner._Minimizers, "score", lambda self, W, w0: (
+        scored.append(np.column_stack([W, w0])), score(self, W, w0))[1])
     y = rng.integers(0, 2, 9)
     assert_erm_matches_brute_force(X, y, 3)
-    triple = 9 + math.comb(9, 2)  # the subset index of (0, 1, 2)
-    assert any(np.any(keys[:, 1] == triple) for keys in scored)
+    W, w0 = learner.supporting_hyperplanes(X, [(0, 1, 2)])
+    row = np.append(W[0], w0[0] - 4.0 * learner.MEM_TOL * (1.0 + np.linalg.norm(X, axis=1).max()))
+    assert any(np.any(np.all(rows == row, axis=1)) for rows in scored)
 
 
 def near_line(rng, a, b, offset):
@@ -809,10 +818,14 @@ def near_line(rng, a, b, offset):
     return a + rng.uniform(-1.0, 2.0) * (b - a) + offset * normal
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+# the largest sample size per dimension that the brute force scores quickly
+ERM_ORACLE_N = {1: 80, 2: 80, 3: 30, 4: 12, 5: 9}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_erm_matches_brute_force_on_random_samples(dim):
     rng = np.random.default_rng(40 + dim)
-    for n in range(1, 81 if dim < 3 else 31):
+    for n in range(1, ERM_ORACLE_N[dim] + 1):
         X = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
         y = rng.integers(0, 2, n)
         mistakes = assert_erm_matches_brute_force(X, y, dim)
@@ -820,13 +833,13 @@ def test_erm_matches_brute_force_on_random_samples(dim):
             assert mistakes == erm_1d_mistakes(X[:, 0], y)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_erm_matches_brute_force_on_integer_grids(dim):
     # duplicates, collinear triples, coplanar quadruples and axis-parallel
     # lines and planes
     rng = np.random.default_rng(43 + dim)
     for trial in range(60):
-        n = int(rng.integers(2, 50 if dim < 3 else 25))
+        n = int(rng.integers(2, min(50 if dim < 3 else 25, ERM_ORACLE_N[dim] + 1)))
         X = rng.integers(-3, 4, (n, dim)) * (0.25, 1.0, 1000.0)[trial % 3]
         y = rng.integers(0, 2, n)
         mistakes = assert_erm_matches_brute_force(X, y, dim)
@@ -843,6 +856,8 @@ def test_erm_tie_break_sees_signed_zeros():
         X = X[rng.permutation(len(X))]
         h, err = erm_halfspace(labeled(X, X[:, 1]), 2)
         assert err.mistakes == 0 and h.normal[0] == 0.0
+        # and the result holds no -0.0
+        assert not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in (*h.normal, h.offset))
         assert_erm_matches_brute_force(X, X[:, 1], 2)
 
 
@@ -899,24 +914,36 @@ def test_erm_matches_brute_force_near_coincident_pairs():
         gap = 10.0 ** rng.uniform(-13, -8, (k, 1))
         X[:k] = X[n - k:] + gap * rng.standard_normal((k, 2))
         assert_erm_matches_brute_force(X, rng.integers(0, 2, n), 2)
-    # d = 3: pivot pairs closer than RANK_TOL * scale, and slightly wider
-    rng = np.random.default_rng(147)
-    for trial in range(30):
-        n = int(rng.integers(3, 26))
-        X = rng.standard_normal((n, 3))
-        k = max(1, n // 3)
-        gap = 10.0 ** rng.uniform(-13, -8, (k, 1))
-        X[:k] = X[n - k:] + gap * rng.standard_normal((k, 3))
-        assert_erm_matches_brute_force(X, rng.integers(0, 2, n), 3)
+    # d >= 3: pivot points closer than RANK_TOL * scale, and slightly wider
+    for dim in (3, 4, 5):
+        rng = np.random.default_rng(144 + dim)
+        for trial in range(30):
+            n = int(rng.integers(dim, min(26, ERM_ORACLE_N[dim] + 1)))
+            X = rng.standard_normal((n, dim))
+            k = max(1, n // 3)
+            gap = 10.0 ** rng.uniform(-13, -8, (k, 1))
+            X[:k] = X[n - k:] + gap * rng.standard_normal((k, dim))
+            assert_erm_matches_brute_force(X, rng.integers(0, 2, n), dim)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_erm_matches_brute_force_on_single_label_samples(dim):
     rng = np.random.default_rng(48 + dim)
-    for n in (1, 2, 3, 7, 30):
+    for n in (1, 2, 3, 7, min(30, ERM_ORACLE_N[dim])):
         X = rng.standard_normal((n, dim))
         for label in (0, 1):
             assert assert_erm_matches_brute_force(X, np.full(n, label), dim) == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_erm_on_a_cloud_far_from_the_origin(dim):
+    # centring points 1e6 from the origin rounds by more than RANK_TOL; a
+    # subset's row must still come from at most one direction fewer than
+    # its points, or a pair would span the plane
+    rng = np.random.default_rng(52 + dim)
+    for trial in range(10):
+        X = rng.standard_normal((12, dim)) + 1e6 * rng.standard_normal(dim)
+        assert_erm_matches_brute_force(X, rng.integers(0, 2, 12), dim)
 
 
 # --- best_in_class -------------------------------------------------------------------

@@ -5,7 +5,6 @@ from ppmlearn.geometry import Halfspace
 from ppmlearn.model import (
     EmptySampleError,
     ErrorCount,
-    Example,
     LabeledSample,
     PPMDataset,
     empirical_error,
@@ -39,15 +38,6 @@ def test_dataset_counts_and_immutability():
     assert (ds.n, ds.n_priv, ds.n_pub) == (3, 2, 1)
     with pytest.raises(ValueError):
         ds.X[0, 0] = 5.0
-
-
-def test_example_validation():
-    e = Example(np.array([1.0, 2.0]), 1, True)
-    assert e.p and e.y == 1
-    with pytest.raises(ValueError):
-        Example(np.array([np.nan]), 0, False)
-    with pytest.raises(ValueError):
-        Example(np.array([0.0]), 5, False)
 
 
 # --- partition ---------------------------------------------------------------
