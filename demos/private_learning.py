@@ -15,7 +15,6 @@ from ppmlearn import (
     GeneratorSpec,
     Halfspace,
     best_in_class,
-    enumerate_class,
     erm_halfspace,
     generate,
     generate_holdout,
@@ -61,8 +60,7 @@ small = generate(GeneratorSpec(dim=2, target=spec.target, seed=12), 60)
 res_small = learn_half(small, epsilon=1.0, seed=5)
 s_small = partition(small)[2]
 _, erm_small = erm_halfspace(s_small, small.dim)
-_, best_small = best_in_class(enumerate_class(res_small.family, small.dim),
-                              s_small)
+_, best_small = best_in_class(res_small.family, s_small, small.dim)
 print(f"n={small.n}: |G|={res_small.diagnostics.class_size}, "
       f"best in class {best_small.mistakes} <= ERM {erm_small.mistakes}: "
       f"{best_small.mistakes <= erm_small.mistakes}")

@@ -32,19 +32,19 @@ from .geometry import (
 from .learner import (
     EMPTY_REGION,
     BudgetExceededError,
-    ClassG,
     HalfspaceFamily,
     IntersectionHypothesis,
     LearnResult,
+    MechanismDistribution,
     all_mistake_counts,
     best_in_class,
     class_cardinality,
     construct_halfspace_family,
     default_pool_cap,
-    enumerate_class,
     erm_halfspace,
     hypothesis_error,
     learn_half,
+    mechanism_distribution,
     predict,
     predict_many,
     unrank_hypothesis,
@@ -60,8 +60,6 @@ from .model import (
 from .privacy import (
     DPAuditReport,
     IllegalNeighborError,
-    MechanismDistribution,
-    mechanism_distribution,
     replace_entry,
     verify_dp,
 )

@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or input error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .learner import (
     learn_half,
 )
 from .model import ErrorCount, curator_only_fields, partition
-from .privacy import verify_dp
+from .privacy import DEFAULT_AUDIT_CLASS_LIMIT, verify_dp
 from .experiments import (
     SweepConfig,
     format_summary,
@@ -71,21 +72,28 @@ def _generator_from_args(args) -> GeneratorSpec:
 
 
 def _sweep_config_from_dict(d: dict, out_dir=None) -> SweepConfig:
-    g = d["generator"]
-    spec = GeneratorSpec(
-        dim=int(g["dim"]),
-        target=Halfspace(g["target_normal"], float(g["target_offset"])),
-        marginal=g.get("marginal", "gaussian"),
-        affine_dim=g.get("affine_dim"),
-        label_noise=float(g.get("label_noise", 0.0)),
-        privacy_flip=float(g.get("privacy_flip", 0.0)),
-        seed=int(g.get("seed", 0)))
-    return SweepConfig(
-        generator=spec, n_grid=tuple(d["n_grid"]),
-        epsilon_grid=tuple(d["epsilon_grid"]), trials=int(d.get("trials", 1)),
-        holdout=int(d.get("holdout", 10_000)), pool_cap=d.get("pool_cap"),
-        seed=int(d.get("seed", 0)),
-        out_dir=out_dir if out_dir is not None else d.get("out_dir"))
+    if not isinstance(d, dict):
+        raise UsageError("sweep config must be a JSON object")
+    try:
+        g = d["generator"]
+        spec = GeneratorSpec(
+            dim=int(g["dim"]),
+            target=Halfspace(g["target_normal"], float(g["target_offset"])),
+            marginal=g.get("marginal", "gaussian"),
+            affine_dim=g.get("affine_dim"),
+            label_noise=float(g.get("label_noise", 0.0)),
+            privacy_flip=float(g.get("privacy_flip", 0.0)),
+            seed=int(g.get("seed", 0)))
+        return SweepConfig(
+            generator=spec, n_grid=tuple(d["n_grid"]),
+            epsilon_grid=tuple(d["epsilon_grid"]), trials=int(d.get("trials", 1)),
+            holdout=int(d.get("holdout", 10_000)), pool_cap=d.get("pool_cap"),
+            seed=int(d.get("seed", 0)),
+            out_dir=out_dir if out_dir is not None else d.get("out_dir"))
+    except KeyError as exc:
+        raise UsageError(f"sweep config lacks key {exc}") from None
+    except TypeError as exc:
+        raise UsageError(f"malformed sweep config: {exc}") from None
 
 
 # JSON key of each reported diagnostic -> (LearnDiagnostics field, conversion)
@@ -234,11 +242,7 @@ def cmd_sweep(args) -> int:
     if config.out_dir is None:
         raise UsageError("sweep needs --out or out_dir in the config")
     if args.pool_cap is not None:
-        config = SweepConfig(generator=config.generator, n_grid=config.n_grid,
-                             epsilon_grid=config.epsilon_grid,
-                             trials=config.trials, holdout=config.holdout,
-                             pool_cap=args.pool_cap, seed=config.seed,
-                             out_dir=config.out_dir)
+        config = dataclasses.replace(config, pool_cap=args.pool_cap)
     records = run_sweep(config)
     print(f"{len(records)} records -> {config.out_dir}/records.csv")
     return 0
@@ -305,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon", type=float, nargs="+", default=[1.0])
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--class-limit", dest="class_limit", type=int, default=100_000)
+    p.add_argument("--class-limit", dest="class_limit", type=int,
+                   default=DEFAULT_AUDIT_CLASS_LIMIT)
     p.set_defaults(func=cmd_verify_dp)
 
     p = sub.add_parser("bounds", parents=[shared], help="evaluate the closed-form bounds")

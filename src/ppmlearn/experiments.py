@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -174,8 +174,11 @@ def read_records_csv(path) -> list[TrialRecord]:
     if not lines or lines[0].split(",") != CSV_COLUMNS:
         raise ValueError(f"unrecognized records file {path}")
     out = []
-    for ln in lines[1:]:
+    for k, ln in enumerate(lines[1:], start=2):
         v = ln.split(",")
+        if len(v) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}: row {k} has {len(v)} fields, "
+                             f"expected {len(CSV_COLUMNS)}")
         out.append(TrialRecord(
             n=int(v[0]), epsilon=float(v[1]), trial=int(v[2]), dim=int(v[3]),
             label_noise=float(v[4]), privacy_flip=float(v[5]),
@@ -258,31 +261,6 @@ def _load_journal(path: str, config_hash: str) -> dict[int, list[dict]]:
     return done
 
 
-def _record_from_dict(d: dict) -> TrialRecord:
-    return TrialRecord(
-        n=int(d["n"]), epsilon=float(d["epsilon"]), trial=int(d["trial"]),
-        dim=int(d["dim"]), label_noise=float(d["label_noise"]),
-        privacy_flip=float(d["privacy_flip"]), data_seed=int(d["data_seed"]),
-        mech_seed=int(d["mech_seed"]),
-        pool_cap=None if d["pool_cap"] is None else int(d["pool_cap"]),
-        family_size=int(d["family_size"]), class_size=int(d["class_size"]),
-        g_mistakes=int(d["g_mistakes"]), g_total=int(d["g_total"]),
-        holdout_error=float(d["holdout_error"]),
-        erm_mistakes=int(d["erm_mistakes"]), config_hash=d["config_hash"],
-        wall_time=d.get("wall_time"))
-
-
-def _record_to_dict(r: TrialRecord) -> dict:
-    return {"n": r.n, "epsilon": r.epsilon, "trial": r.trial, "dim": r.dim,
-            "label_noise": r.label_noise, "privacy_flip": r.privacy_flip,
-            "data_seed": r.data_seed, "mech_seed": r.mech_seed,
-            "pool_cap": r.pool_cap, "family_size": r.family_size,
-            "class_size": r.class_size, "g_mistakes": r.g_mistakes,
-            "g_total": r.g_total, "holdout_error": r.holdout_error,
-            "erm_mistakes": r.erm_mistakes, "config_hash": r.config_hash,
-            "wall_time": r.wall_time}
-
-
 def run_sweep(config: SweepConfig) -> list[TrialRecord]:
     """All trials of all cells, deterministic per config+seed.
 
@@ -304,7 +282,7 @@ def run_sweep(config: SweepConfig) -> list[TrialRecord]:
     records: list[TrialRecord] = []
     for cell_idx, (n, eps) in enumerate(cells):
         if cell_idx in done:
-            records.extend(_record_from_dict(d) for d in done[cell_idx])
+            records.extend(TrialRecord(**d) for d in done[cell_idx])
             continue
         cell_records = []
         for trial in range(config.trials):
@@ -319,7 +297,7 @@ def run_sweep(config: SweepConfig) -> list[TrialRecord]:
             with open(journal, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps({
                     "cell": cell_idx,
-                    "records": [_record_to_dict(r) for r in cell_records],
+                    "records": [asdict(r) for r in cell_records],
                 }) + "\n")
     if config.out_dir is not None:
         write_records_csv(records, os.path.join(config.out_dir, "records.csv"))

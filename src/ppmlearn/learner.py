@@ -228,26 +228,6 @@ def class_cardinality(family_size: int, dim: int) -> int:
     return 1 + sum(math.comb(family_size, j) for j in range(1, dim + 1))
 
 
-@dataclass(frozen=True, eq=False)
-class ClassG:
-    """The finite hypothesis class: empty-region first, then every strictly
-    increasing member tuple of size 1..d, smaller sizes first and
-    lexicographic within a size. Iteration is restartable."""
-
-    family: HalfspaceFamily
-    dim: int
-
-    @property
-    def cardinality(self) -> int:
-        return class_cardinality(self.family.size, self.dim)
-
-    def __iter__(self):
-        yield EMPTY_REGION
-        for size in range(1, self.dim + 1):
-            for combo in itertools.combinations(range(self.family.size), size):
-                yield IntersectionHypothesis(combo)
-
-
 def _combinations(m: int, size: int) -> np.ndarray:
     """Every strictly increasing ``size``-tuple of range(m), lexicographic,
     as rows of an integer array."""
@@ -295,10 +275,6 @@ def construct_halfspace_family(S_pub: LabeledSample, dim: int,
     kept = dedup_rows(np.column_stack([W, w0]))
     return HalfspaceFamily(W[kept], w0[kept], sources[kept], affine_span(X, dim),
                            tuple(idx.tolist()), dim)
-
-
-def enumerate_class(family: HalfspaceFamily, dim: int) -> ClassG:
-    return ClassG(family=family, dim=dim)
 
 
 def predict(g: IntersectionHypothesis, family: HalfspaceFamily, x) -> int:
@@ -1004,17 +980,17 @@ def erm_halfspace(S_prime: LabeledSample, dim: int):
 # ---------------------------------------------------------------------------
 
 
-def best_in_class(classG: ClassG, S_prime: LabeledSample):
+def best_in_class(family: HalfspaceFamily, S_prime: LabeledSample, dim: int):
     """Exact minimum mistake count over the class; first minimizer in
     enumeration order."""
     if S_prime.n == 0:
         raise EmptySampleError("empty sample")
     best_rank, best_count = 0, S_prime.n + 1
-    for base, counts in _score_blocks(classG.family, S_prime, classG.dim):
+    for base, counts in _score_blocks(family, S_prime, dim):
         k = int(np.argmin(counts))
         if counts[k] < best_count:
             best_rank, best_count = base + k, int(counts[k])
-    g = unrank_hypothesis(best_rank, classG.family.size, classG.dim)
+    g = unrank_hypothesis(best_rank, family.size, dim)
     return g, ErrorCount(best_count, S_prime.n)
 
 
@@ -1027,39 +1003,30 @@ def best_in_class(classG: ClassG, S_prime: LabeledSample):
 class MechanismDistribution:
     """Exact selection law of the exponential mechanism over the class.
 
-    log_prob_i = -(eps/2) * mistakes_i - log sum_j exp(-(eps/2) * mistakes_j);
-    equivalently (eps*n/2) * q_i with score q_i = -mistakes_i / n and
-    sensitivity 1/n. The law depends on the class only through the histogram
-    of mistake counts (at most n+1 bins), so the normalizer is a sum over
-    bins and a draw picks a count first, then a hypothesis with that count.
-    Holds a read-only view of ``mistake_counts``, in the integer dtype it
-    came in (``all_mistake_counts`` gives uint16 or uint32).
+    log_prob(c) = -(eps/2) * c - log sum_j exp(-(eps/2) * mistakes_j) for a
+    hypothesis with c mistakes; equivalently (eps*n/2) * q with score
+    q = -c / n and sensitivity 1/n. The law depends on the class only
+    through the histogram of mistake counts (n+1 bins), so it is built from
+    that histogram alone: the normalizer is a sum over bins, and a draw
+    picks a count first, then a hypothesis with that count from the counts
+    vector the caller passes in.
     """
 
-    mistake_counts: np.ndarray
+    histogram: np.ndarray  # index = mistake count
     epsilon: float
     n: int
-    histogram: np.ndarray = field(init=False)  # index = mistake count
     min_mistakes: int = field(init=False)
     log_normalizer: float = field(init=False)  # log sum of exp(-eps*(c - min)/2)
 
     def __post_init__(self):
-        c = np.asarray(self.mistake_counts)
-        c = (c if c.dtype.kind in "iu" else c.astype(np.int64)).view()
-        if c.size == 0:
-            raise ValueError("empty score list")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        # bincount converts to intp, so it runs in chunks, never on a full copy
-        hist = np.bincount(c[:_CHUNK_ENTRIES], minlength=self.n + 1)
-        for lo in range(_CHUNK_ENTRIES, c.size, _CHUNK_ENTRIES):
-            part = np.bincount(c[lo:lo + _CHUNK_ENTRIES], minlength=hist.size)
-            part[:hist.size] += hist
-            hist = part
-        c.flags.writeable = hist.flags.writeable = False
-        object.__setattr__(self, "mistake_counts", c)
+        hist = np.array(self.histogram, dtype=np.int64)
+        if not hist.any():
+            raise ValueError("empty score list")
+        hist.flags.writeable = False
         object.__setattr__(self, "histogram", hist)
         object.__setattr__(self, "min_mistakes", int(np.flatnonzero(hist)[0]))
         object.__setattr__(self, "log_normalizer",
@@ -1070,19 +1037,14 @@ class MechanismDistribution:
         tail = self.histogram[self.min_mistakes:]
         return tail * np.exp(-(self.epsilon / 2.0) * np.arange(tail.size))
 
-    @cached_property
-    def log_probs(self) -> np.ndarray:
-        shift = self.mistake_counts - self.min_mistakes
-        lp = -(self.epsilon / 2.0) * shift - self.log_normalizer
-        lp.flags.writeable = False
-        return lp
+    def log_prob(self, counts):
+        """Log-probability of one hypothesis with each of ``counts`` mistakes."""
+        shift = np.asarray(counts, dtype=np.int64) - self.min_mistakes
+        return -(self.epsilon / 2.0) * shift - self.log_normalizer
 
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
-
-    def sample(self, rng) -> tuple[int, float]:
-        """Draw a rank; also returns the uniform draw that picked its count.
+    def sample(self, rng, counts) -> tuple[int, float]:
+        """Draw a rank of ``counts``, the mistake counts this law was binned
+        from; also returns the uniform draw that picked its count.
 
         The count c is found by inverting the uniform draw over the
         cumulative bin weights; the rank is then the k-th (k uniform) of the
@@ -1095,8 +1057,8 @@ class MechanismDistribution:
             int(np.searchsorted(cum, u * cum[-1], side="right")),
             int(np.searchsorted(cum, cum[-1], side="left")))
         k = int(rng.integers(self.histogram[c]))
-        for lo in range(0, self.mistake_counts.size, _CHUNK_ENTRIES):
-            hits = np.flatnonzero(self.mistake_counts[lo:lo + _CHUNK_ENTRIES] == c)
+        for lo in range(0, counts.size, _CHUNK_ENTRIES):
+            hits = np.flatnonzero(counts[lo:lo + _CHUNK_ENTRIES] == c)
             if k < hits.size:
                 return lo + int(hits[k]), u
             k -= hits.size
@@ -1104,8 +1066,17 @@ class MechanismDistribution:
 
 
 def mechanism_distribution(mistake_counts, epsilon: float, n: int) -> MechanismDistribution:
-    return MechanismDistribution(mistake_counts=np.asarray(mistake_counts),
-                                 epsilon=float(epsilon), n=int(n))
+    """The law over a class with these mistake counts, binned in chunks."""
+    c = np.asarray(mistake_counts)
+    if c.dtype.kind not in "iu":
+        c = c.astype(np.int64)
+    # bincount converts to intp, so it runs in chunks, never on a full copy
+    hist = np.bincount(c[:_CHUNK_ENTRIES], minlength=n + 1)
+    for lo in range(_CHUNK_ENTRIES, c.size, _CHUNK_ENTRIES):
+        part = np.bincount(c[lo:lo + _CHUNK_ENTRIES], minlength=hist.size)
+        part[:hist.size] += hist
+        hist = part
+    return MechanismDistribution(histogram=hist, epsilon=float(epsilon), n=int(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -1165,7 +1136,7 @@ def learn_half(dataset: PPMDataset, epsilon: float, pool_cap: int | None = None,
     family = construct_halfspace_family(s_pub, dataset.dim, pool_cap)
     counts = all_mistake_counts(family, s_prime, dataset.dim)
     dist = mechanism_distribution(counts, epsilon, dataset.n)
-    rank, u = dist.sample(np.random.default_rng(seed))
+    rank, u = dist.sample(np.random.default_rng(seed), counts)
     selected = int(counts[rank])
     diag = LearnDiagnostics(
         n=dataset.n, n_pub=dataset.n_pub, n_priv=dataset.n_priv, dim=dataset.dim,

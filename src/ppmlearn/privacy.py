@@ -1,12 +1,15 @@
 """A pure-DP auditor of the learner's exponential mechanism.
 
-The auditor is exact rather than sampling-based: it materializes the full
-output distribution of the learner over the hypothesis class for a dataset
-and for single-private-entry replacements of it, and compares the two
-pointwise. The distributions are the learner's own ``MechanismDistribution``
-(re-exported here), the object ``learn_half`` draws from. Because the class
-is built from public entries only, neighbor runs share the same hypothesis
-space and the log-ratio is well defined at every outcome.
+The auditor is exact rather than sampling-based: it compares, at every
+hypothesis of the class, the learner's output law on a dataset with its
+law on single-private-entry replacements of it. Both laws are the
+learner's own ``MechanismDistribution``, the object ``learn_half`` draws
+from, built from the histogram of mistake counts. A hypothesis's
+log-ratio depends only on its mistake count on the dataset and on the two
+swapped entries, so each trial evaluates it once per such pair rather than
+once per hypothesis. Because the class is built from public entries only,
+neighbor runs share the same hypothesis space and the log-ratio is well
+defined at every outcome.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learner import (
-    MechanismDistribution,  # re-exported: the distribution the auditor checks
-    construct_halfspace_family,
+    MechanismDistribution,
     all_mistake_counts,
     check_pool_budget,
+    construct_halfspace_family,
     mechanism_distribution,
 )
 from .model import LabeledSample, PPMDataset, curator_only, partition, release_safe
@@ -84,17 +87,21 @@ class DPAuditReport:
 
 def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
               trials: int = 50, seed=0,
-              class_limit: int = DEFAULT_AUDIT_CLASS_LIMIT,
-              indices=None) -> DPAuditReport:
+              class_limit: int = DEFAULT_AUDIT_CLASS_LIMIT) -> DPAuditReport:
     """Exact neighbor audit of the learner's output distribution.
 
     For ``trials`` random single-private-entry replacements, computes both
     exact selection distributions over the shared class and records the
-    maximum pointwise |log P(i) - log P'(i)|. Public entries are never
-    touched: passing a public index in ``indices`` is refused, since the
-    guarantee holds only with respect to private entries. So are an index
-    outside 0..n-1, an empty ``indices`` and ``trials`` < 1; the last two
-    would check nothing. PASS means every ratio is at most epsilon + 1e-9.
+    maximum pointwise |log P(h) - log P'(h)|. Public entries are never
+    touched, since the guarantee holds only with respect to private
+    entries; ``trials`` < 1 is refused, as it would check nothing. PASS
+    means every ratio is at most epsilon + 1e-9.
+
+    A hypothesis with c mistakes on the dataset has c - 1 + s on the
+    neighbor, where s in {0, 1, 2} counts its mistakes on the flipped old
+    entry and the new one. Both laws, and so the ratio at h, depend on h
+    only through (c, s): each trial bins the class once by 3c + s and
+    evaluates the ratio once per pair that occurs.
     """
     epsilons = tuple(float(e) for e in (epsilon if np.iterable(epsilon) else [epsilon]))
     if any(e <= 0 for e in epsilons):
@@ -102,41 +109,46 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     priv_idx = np.flatnonzero(dataset.p)
-    if indices is not None:
-        indices = [int(i) for i in indices]
-        if not indices:
-            raise ValueError("indices must name at least one private entry")
-        for i in indices:
-            _check_private(dataset, i)
-    elif priv_idx.size == 0:
+    if priv_idx.size == 0:
         raise IllegalNeighborError("dataset has no private entries to perturb")
     s_pub, s_priv, s_prime = partition(dataset)
     check_pool_budget(s_pub.n, dataset.dim, pool_cap, class_limit)
     family = construct_halfspace_family(s_pub, dataset.dim, pool_cap)
 
+    n = dataset.n
     base_counts = all_mistake_counts(family, s_prime, dataset.dim)
-    # signed, so that a count of 0 minus 1 does not wrap
-    dropped = base_counts.astype(np.int64) - 1
-    base_dists = {eps: mechanism_distribution(base_counts, eps, dataset.n)
-                  for eps in epsilons}
+    base3 = 3 * base_counts.astype(np.int64)  # 3c would wrap in uint16 past c = 21,845
+    base_dists = {eps: mechanism_distribution(base_counts, eps, n) for eps in epsilons}
     rng = np.random.default_rng(seed)
     results = []
-    for t in range(trials):
-        if indices is not None:
-            idx = indices[t % len(indices)]
-        else:
-            idx = int(rng.choice(priv_idx))
+    for _ in range(trials):
+        idx = int(rng.choice(priv_idx))
         x_new = rng.standard_normal(dataset.dim)
         y_new = int(rng.integers(0, 2))
         # mistakes on (x, y) and on (x, 1-y) sum to 1 for every hypothesis,
         # so dropping the old entry adds its flipped mistakes minus one
         swap = LabeledSample(np.vstack([dataset.X[idx], x_new]),
                              [1 - int(dataset.y[idx]), y_new], [idx, idx])
-        neighbor_counts = dropped + all_mistake_counts(family, swap, dataset.dim)
+        pairs = np.bincount(base3 + all_mistake_counts(family, swap, dataset.dim),
+                            minlength=3 * (n + 1))
+        neighbor_hist = _neighbor_histogram(pairs.reshape(n + 1, 3))
+        c, s = np.divmod(np.flatnonzero(pairs), 3)
         for eps in epsilons:
-            d1 = mechanism_distribution(neighbor_counts, eps, dataset.n)
-            ratio = float(np.max(np.abs(base_dists[eps].log_probs - d1.log_probs)))
+            d1 = MechanismDistribution(neighbor_hist, eps, n)
+            ratio = float(np.max(np.abs(base_dists[eps].log_prob(c) - d1.log_prob(c - 1 + s))))
             results.append(NeighborTrial(index=idx, max_log_ratio=ratio, epsilon=eps))
     return DPAuditReport(epsilons=epsilons, trials=tuple(results),
                          class_size=base_counts.size, family_size=family.size,
-                         n=dataset.n, slack=RATIO_SLACK)
+                         n=n, slack=RATIO_SLACK)
+
+
+def _neighbor_histogram(pairs: np.ndarray) -> np.ndarray:
+    """Histogram of the neighbor counts c - 1 + s from the (n+1, 3) table of
+    hypotheses by base count c and swap count s. A neighbor count outside
+    0..n means the counts are out of step; it is refused, not wrapped."""
+    by_sum = np.zeros(pairs.shape[0] + 2, dtype=np.int64)  # index = c + s
+    for s in range(3):
+        by_sum[s:s + pairs.shape[0]] += pairs[:, s]
+    if by_sum[0] or by_sum[-1]:
+        raise AssertionError("neighbor mistake count outside 0..n")
+    return by_sum[1:-1]

@@ -6,9 +6,10 @@ against every point (its rows at d >= 2 come from the library's batched
 kernel, checked bit for bit against the per-subset Gram-Schmidt here), a
 per-subset halfspace family with grid-bucket deduplication, a per-subset
 hull-facet loop, a point-by-point and member-by-member hypothesis
-prediction, an orientation-predicate hull, vertex enumeration for 2-d
-feasibility, elimination-based rank, and the plain exponential-mechanism
-formula without log-space shifting.
+prediction, the class enumerated by itertools.combinations, an
+orientation-predicate hull, vertex enumeration for 2-d feasibility,
+elimination-based rank, the plain exponential-mechanism formula without
+log-space shifting, and the audit's log-ratio taken at every hypothesis.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ppmlearn.geometry import (
     point_tolerance,
     supporting_hyperplanes,
 )
+from ppmlearn.learner import EMPTY_REGION, IntersectionHypothesis
 
 
 def erm_1d_mistakes(xs, ys) -> int:
@@ -252,6 +254,16 @@ def predict_oracle(g, family, x) -> int:
     return 0
 
 
+def class_oracle(family, dim: int):
+    """The hypothesis class in enumeration order: the empty region, then
+    every strictly increasing member tuple of size 1..d, smaller sizes
+    first and lexicographic within a size."""
+    yield EMPTY_REGION
+    for size in range(1, dim + 1):
+        for combo in itertools.combinations(range(family.size), size):
+            yield IntersectionHypothesis(combo)
+
+
 def convex_hull_2d(points) -> list[int]:
     """Indices of hull vertices in counter-clockwise order (monotone chain,
     orientation predicate only)."""
@@ -372,6 +384,22 @@ def mechanism_probs_direct(mistake_counts, epsilon) -> np.ndarray:
     w = [math.exp(-epsilon * c / 2.0) for c in mistake_counts]
     total = sum(w)
     return np.array([v / total for v in w])
+
+
+def audit_ratio_oracle(base_counts, neighbor_counts, epsilon, n) -> float:
+    """max over every hypothesis h of |log P(h) - log P'(h)|, each law's log
+    probabilities formed over the whole counts vector: -(eps/2) times the
+    count's distance from the smallest count, minus the log of the exactly
+    summed bin weights."""
+    def log_probs(counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        hist = np.bincount(counts, minlength=n + 1)
+        low = int(np.flatnonzero(hist)[0])
+        tail = hist[low:]
+        log_z = math.log(math.fsum(tail * np.exp(-(epsilon / 2.0) * np.arange(tail.size))))
+        return -(epsilon / 2.0) * (counts - low) - log_z
+
+    return float(np.max(np.abs(log_probs(base_counts) - log_probs(neighbor_counts))))
 
 
 def count_mistakes_pointwise(labels_pred, labels_true) -> int:

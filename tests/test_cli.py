@@ -4,6 +4,7 @@ import json
 import pytest
 
 import ppmlearn.cli as cli
+from ppmlearn.experiments import CSV_COLUMNS
 from ppmlearn.learner import BudgetExceededError, LearnDiagnostics
 from ppmlearn.model import CURATOR_ONLY, PRIVACY, RELEASE_SAFE, curator_only_fields
 from ppmlearn.privacy import DPAuditReport, NeighborTrial
@@ -163,6 +164,21 @@ def test_sweep_and_summarize(tmp_path, capsys):
     assert "med_hold" in text
     assert (tmp_path / "run" / "summary.json").exists()
     assert run_cli(["summarize"]) == 2  # neither --records nor --out
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("sweep", "sweep.json", json.dumps({"n_grid": [40], "epsilon_grid": [1.0]})),
+    ("sweep", "sweep.json", json.dumps([{"n_grid": [40]}])),
+    ("summarize", "records.csv",
+     ",".join(CSV_COLUMNS) + "\n" + ",".join(["1"] * 10) + "\n"),
+], ids=["config-without-generator", "config-is-a-list", "records-row-of-10-fields"])
+def test_malformed_input_exit_two(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    flag = "--config" if command == "sweep" else "--records"
+    assert run_cli([command, flag, str(path), "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_pool_cap_zero_means_uncapped(tmp_path, capsys):

@@ -99,6 +99,32 @@ def test_sweep_resume_reproduces_straight_run(tmp_path, monkeypatch):
         (tmp_path / "b" / "records.csv").read_bytes()
 
 
+def test_resume_keeps_integer_rates(tmp_path, monkeypatch):
+    # rates given as Python ints print as 0 in a straight run; the journal
+    # must hand them back unchanged, not as 0.0
+    gen = GeneratorSpec(dim=1, target=Halfspace([1.0], 0.0), label_noise=0,
+                        privacy_flip=0, seed=3)
+    configs = [SweepConfig(generator=gen, n_grid=(30, 40), epsilon_grid=(1.0,),
+                           holdout=1000, seed=9, out_dir=str(tmp_path / d))
+               for d in ("a", "b")]
+    run_sweep(configs[0])
+    real = exp.run_trial
+
+    def interrupted(config, cell_idx, n, eps, trial):
+        if cell_idx == 1:
+            raise RuntimeError("interrupted")
+        return real(config, cell_idx, n, eps, trial)
+
+    monkeypatch.setattr(exp, "run_trial", interrupted)
+    with pytest.raises(RuntimeError):
+        run_sweep(configs[1])
+    monkeypatch.setattr(exp, "run_trial", real)
+    run_sweep(configs[1])
+    straight = (tmp_path / "a" / "records.csv").read_bytes()
+    assert b",0,0," in straight
+    assert (tmp_path / "b" / "records.csv").read_bytes() == straight
+
+
 def test_sweep_resumes_past_a_torn_final_journal_line(tmp_path):
     cfg_a = small_config(tmp_path / "a", n_grid=(30, 50))
     run_sweep(cfg_a)

@@ -17,19 +17,25 @@ from ppmlearn.learner import (
     class_cardinality,
     construct_halfspace_family,
     default_pool_cap,
-    enumerate_class,
     erm_halfspace,
     hypothesis_error,
     learn_half,
+    mechanism_distribution,
     predict,
     predict_many,
     unrank_hypothesis,
 )
 from ppmlearn.model import EmptySampleError, LabeledSample, PPMDataset, empirical_error, partition
 from ppmlearn.data import GeneratorSpec, generate
-from ppmlearn.privacy import mechanism_distribution
 
-from oracles import erm_1d_mistakes, erm_brute_force, family_oracle, predict_oracle, unrank_walk
+from oracles import (
+    class_oracle,
+    erm_1d_mistakes,
+    erm_brute_force,
+    family_oracle,
+    predict_oracle,
+    unrank_walk,
+)
 
 
 def labeled(X, y):
@@ -52,9 +58,8 @@ def test_family_empty_public_pool():
     fam = construct_halfspace_family(s_pub, 2)
     assert fam.size == 0
     assert fam.aff.is_full
-    G = enumerate_class(fam, 2)
-    assert G.cardinality == 1
-    assert list(G) == [EMPTY_REGION]
+    assert class_cardinality(fam.size, 2) == 1
+    assert list(class_oracle(fam, 2)) == [EMPTY_REGION]
 
 
 def test_family_d1_two_points():
@@ -243,12 +248,12 @@ def test_class_cardinalities():
 def test_class_iterator_matches_cardinality_and_is_restartable():
     fam = construct_halfspace_family(
         labeled(np.arange(5, dtype=float).reshape(-1, 1), [0] * 5), 1)
-    G = enumerate_class(fam, 1)
-    first = list(G)
-    second = list(G)
-    assert len(first) == G.cardinality
+    first = list(class_oracle(fam, 1))
+    second = list(class_oracle(fam, 1))
+    assert len(first) == class_cardinality(fam.size, 1)
     assert first == second
     assert first[0] is EMPTY_REGION
+    assert first == [unrank_hypothesis(r, fam.size, 1) for r in range(len(first))]
 
 
 def test_class_cardinality_within_paper_style_bound():
@@ -256,7 +261,7 @@ def test_class_cardinality_within_paper_style_bound():
         rng = np.random.default_rng(seed)
         fam = construct_halfspace_family(
             labeled(rng.standard_normal((m, dim)), [0] * m), dim)
-        card = enumerate_class(fam, dim).cardinality
+        card = class_cardinality(fam.size, dim)
         assert card <= 2 * (2 ** dim) * max(m, 2) ** (dim * dim)
 
 
@@ -343,8 +348,7 @@ def test_predict_many_matches_predict():
     ds = label_determined_dataset(2, 16, seed=5)
     fam = construct_halfspace_family(partition(ds)[0], 2)
     X = rng.standard_normal((30, 2))
-    G = enumerate_class(fam, 2)
-    for g in itertools.islice(G, 12):
+    for g in itertools.islice(class_oracle(fam, 2), 12):
         batch = predict_many(g, fam, X)
         assert [predict(g, fam, x) for x in X] == list(batch)
         assert [predict_oracle(g, fam, x) for x in X] == list(batch)
@@ -374,7 +378,7 @@ def test_hypothesis_error_matches_empirical_error():
     ds = label_determined_dataset(2, 20, seed=6, eta=0.2)
     s_prime = partition(ds)[2]
     fam = construct_halfspace_family(partition(ds)[0], 2)
-    for g in itertools.islice(enumerate_class(fam, 2), 8):
+    for g in itertools.islice(class_oracle(fam, 2), 8):
         fast = hypothesis_error(g, fam, s_prime)
         ref = empirical_error(lambda x: predict_oracle(g, fam, x), s_prime)
         assert fast.mistakes == ref.mistakes
@@ -389,8 +393,7 @@ def test_all_mistake_counts_match_naive_enumeration():
         s_prime = partition(ds)[2]
         fam = construct_halfspace_family(partition(ds)[0], dim)
         counts = all_mistake_counts(fam, s_prime, dim)
-        G = enumerate_class(fam, dim)
-        naive = [hypothesis_error(g, fam, s_prime).mistakes for g in G]
+        naive = [hypothesis_error(g, fam, s_prime).mistakes for g in class_oracle(fam, dim)]
         assert counts.tolist() == naive
 
 
@@ -409,7 +412,7 @@ def test_counts_switch_to_float64_past_the_float32_limit(monkeypatch):
         assert max(np.sum(s_prime.y == 0), np.sum(s_prime.y == 1)) > 3
         fam = construct_halfspace_family(partition(ds)[0], dim)
         naive = [hypothesis_error(g, fam, s_prime).mistakes
-                 for g in enumerate_class(fam, dim)]
+                 for g in class_oracle(fam, dim)]
         for limit, dtype in [(1 << 24, np.float32), (3, np.float64)]:
             monkeypatch.setattr(learner, "_FLOAT32_EXACT", limit)
             dtypes.clear()
@@ -421,10 +424,9 @@ def test_counts_switch_to_float64_past_the_float32_limit(monkeypatch):
 def assert_counts_match_naive(fam, sample, dim):
     """Class scores and the first minimizer equal scoring every hypothesis
     on its own (``hypothesis_error``)."""
-    G = enumerate_class(fam, dim)
-    naive = [hypothesis_error(g, fam, sample).mistakes for g in G]
+    naive = [hypothesis_error(g, fam, sample).mistakes for g in class_oracle(fam, dim)]
     assert all_mistake_counts(fam, sample, dim).tolist() == naive
-    g, err = best_in_class(G, sample)
+    g, err = best_in_class(fam, sample, dim)
     assert err.mistakes == min(naive)
     assert g == unrank_hypothesis(naive.index(min(naive)), fam.size, dim)
 
@@ -557,10 +559,10 @@ def test_counts_are_compact_integers():
         fam = construct_halfspace_family(labeled(X[:2], y[:2]), 2)
         counts = all_mistake_counts(fam, labeled(X, y), 2)
         assert counts.dtype == dtype
-        G = enumerate_class(fam, 2)
-        assert counts.tolist() == [hypothesis_error(g, fam, labeled(X, y)).mistakes for g in G]
+        assert counts.tolist() == [hypothesis_error(g, fam, labeled(X, y)).mistakes
+                                   for g in class_oracle(fam, 2)]
         dist = mechanism_distribution(counts, 1.0, n)
-        assert dist.mistake_counts.dtype == dtype  # no int64 copy
+        assert dist.histogram.shape == (n + 1,)  # the law holds no counts vector
         assert np.array_equal(dist.histogram, np.bincount(counts.astype(np.int64), minlength=n + 1))
 
 
@@ -644,11 +646,11 @@ def test_d1_counts_match_naive_enumeration(points, no_membership):
         fam = construct_halfspace_family(labeled(x[pub, None], y[pub]), 1)
         with np.errstate(over="ignore"):  # the norm of |x| > 1.3e154
             naive = [hypothesis_error(g, fam, sample).mistakes
-                     for g in enumerate_class(fam, 1)]
+                     for g in class_oracle(fam, 1)]
             assert all_mistake_counts(fam, sample, 1).tolist() == naive
-            g, err = best_in_class(enumerate_class(fam, 1), sample)
+            g, err = best_in_class(fam, sample, 1)
         assert err.mistakes == min(naive)
-        assert g == list(enumerate_class(fam, 1))[naive.index(min(naive))]
+        assert g == list(class_oracle(fam, 1))[naive.index(min(naive))]
 
 
 def test_d1_band_tests_agree_across_chunks(no_membership, monkeypatch):
@@ -657,7 +659,7 @@ def test_d1_band_tests_agree_across_chunks(no_membership, monkeypatch):
     x, y, pub = _d1_cluster_at_1e8(np.random.default_rng(3))
     sample = labeled(x[:, None], y)
     fam = construct_halfspace_family(labeled(x[pub, None], y[pub]), 1)
-    naive = [hypothesis_error(g, fam, sample).mistakes for g in enumerate_class(fam, 1)]
+    naive = [hypothesis_error(g, fam, sample).mistakes for g in class_oracle(fam, 1)]
     assert all_mistake_counts(fam, sample, 1).tolist() == naive
 
 
@@ -671,7 +673,7 @@ def test_d1_counts_with_normals_off_unit_by_1e13(no_membership):
           for t in (-2.0, 0.0, 1.0, 3.0) for s in (1.0, -1.0) for e in (1e-13, -1e-13)]
     assert all(abs(abs(h.normal[0]) - 1.0) > 0 for h in hs)  # kept off unit
     fam = learner.HalfspaceFamily.from_halfspaces(hs, AffineSubspace.full_space(1), (), 1)
-    naive = [hypothesis_error(g, fam, sample).mistakes for g in enumerate_class(fam, 1)]
+    naive = [hypothesis_error(g, fam, sample).mistakes for g in class_oracle(fam, 1)]
     assert all_mistake_counts(fam, sample, 1).tolist() == naive
 
 
@@ -949,11 +951,11 @@ def test_erm_on_a_cloud_far_from_the_origin(dim):
 # --- best_in_class -------------------------------------------------------------------
 
 
-def naive_best(classG, s_prime):
-    """Duplicate exhaustive scan straight off the iterator."""
+def naive_best(fam, s_prime, dim):
+    """Duplicate exhaustive scan straight off the enumeration."""
     best = None
-    for g in classG:
-        m = hypothesis_error(g, classG.family, s_prime).mistakes
+    for g in class_oracle(fam, dim):
+        m = hypothesis_error(g, fam, s_prime).mistakes
         if best is None or m < best[1]:
             best = (g, m)
     return best
@@ -962,7 +964,7 @@ def naive_best(classG, s_prime):
 def test_best_in_class_empty_family():
     s = labeled([[0.0], [1.0]], [1, 0])
     fam = construct_halfspace_family(labeled(np.zeros((0, 1)), []), 1)
-    g, err = best_in_class(enumerate_class(fam, 1), s)
+    g, err = best_in_class(fam, s, 1)
     assert g is EMPTY_REGION
     assert err.mistakes == 1  # the single 0-label costs one mistake
 
@@ -972,9 +974,9 @@ def test_best_in_class_matches_naive_scan():
                               (2, 12, 23, 0.2), (3, 9, 24, 0.2)]:
         ds = label_determined_dataset(dim, n, seed=seed, eta=eta)
         s_prime = partition(ds)[2]
-        G = enumerate_class(construct_halfspace_family(partition(ds)[0], dim), dim)
-        g, err = best_in_class(G, s_prime)
-        g_naive, m_naive = naive_best(G, s_prime)
+        fam = construct_halfspace_family(partition(ds)[0], dim)
+        g, err = best_in_class(fam, s_prime, dim)
+        g_naive, m_naive = naive_best(fam, s_prime, dim)
         assert err.mistakes == m_naive
         assert g == g_naive  # identical first minimizer in enumeration order
 
@@ -986,8 +988,8 @@ def test_best_in_class_dominates_erm():
         n = int(np.random.default_rng(seed).integers(6, 14 if dim == 3 else 20))
         ds = label_determined_dataset(dim, n, seed=100 + seed, eta=0.2 * (seed % 2))
         s_prime = partition(ds)[2]
-        G = enumerate_class(construct_halfspace_family(partition(ds)[0], dim), dim)
-        _, e_best = best_in_class(G, s_prime)
+        fam = construct_halfspace_family(partition(ds)[0], dim)
+        _, e_best = best_in_class(fam, s_prime, dim)
         _, e_erm = erm_halfspace(s_prime, dim)
         if e_best.mistakes > e_erm.mistakes:
             violations += 1
@@ -1005,7 +1007,7 @@ def test_correct_points_preservation():
         erm_mistakes = {i for i, (x, y) in enumerate(s_prime)
                         if h_erm.label(x) != y}
         found = False
-        for g in enumerate_class(fam, dim):
+        for g in class_oracle(fam, dim):
             pred = predict_many(g, fam, s_prime.X)
             g_mistakes = {int(i) for i in np.flatnonzero(pred != s_prime.y)}
             if g_mistakes <= erm_mistakes:
@@ -1033,8 +1035,8 @@ def test_learn_half_all_private_returns_empty_region():
 def test_learn_half_large_epsilon_hits_minimizer():
     ds = label_determined_dataset(1, 30, seed=31)
     s_prime = partition(ds)[2]
-    G = enumerate_class(construct_halfspace_family(partition(ds)[0], 1), 1)
-    _, e_best = best_in_class(G, s_prime)
+    fam = construct_halfspace_family(partition(ds)[0], 1)
+    _, e_best = best_in_class(fam, s_prime, 1)
     hits = 0
     for seed in range(40):
         with pytest.warns(RuntimeWarning):
@@ -1115,7 +1117,7 @@ def test_learn_half_selection_frequencies_match_exact_distribution():
             res = learn_half(ds, 1.0, seed=seed)
             freq[res.diagnostics.selected_rank] += 1
         freq /= draws
-        tv = 0.5 * np.abs(freq - dist.probs).sum()
+        tv = 0.5 * np.abs(freq - np.exp(dist.log_prob(counts))).sum()
         assert tv < 0.05
 
 
@@ -1130,15 +1132,15 @@ def test_learn_half_draws_from_the_audited_distribution(monkeypatch):
     assert np.array_equal(d.mistake_histogram, dist.histogram)
     assert d.min_mistakes == dist.min_mistakes
     assert d.log_normalizer == dist.log_normalizer
-    assert d.selected_mistakes == dist.mistake_counts[d.selected_rank]
-    assert dist.sample(np.random.default_rng(3)) == (d.selected_rank, d.uniform_draw)
+    assert d.selected_mistakes == counts[d.selected_rank]
+    assert dist.sample(np.random.default_rng(3), counts) == (d.selected_rank, d.uniform_draw)
     # the learner's draw goes through the audited class's sampler
     drawn = []
     real = learner.MechanismDistribution.sample
 
-    def spy(self, rng):
+    def spy(self, rng, counts):
         drawn.append(self)
-        return real(self, rng)
+        return real(self, rng, counts)
 
     monkeypatch.setattr(learner.MechanismDistribution, "sample", spy)
     again = learn_half(ds, 0.5, seed=3)

@@ -15,7 +15,11 @@ from ppmlearn.privacy import (
     verify_dp,
 )
 
-from oracles import mechanism_probs_direct
+from oracles import audit_ratio_oracle, mechanism_probs_direct
+
+
+def probs(dist, counts):
+    return np.exp(dist.log_prob(counts))
 
 
 def label_determined(dim, n, seed):
@@ -29,21 +33,22 @@ def label_determined(dim, n, seed):
 
 def test_mechanism_two_scores_closed_form():
     dist = mechanism_distribution([0, 5], 1.0, 10)
+    p = probs(dist, [0, 5])
     expect0 = 1.0 / (1.0 + math.exp(-2.5))
-    assert dist.probs[0] == pytest.approx(expect0, abs=1e-12)
-    assert dist.probs[1] == pytest.approx(1 - expect0, abs=1e-12)
-    assert dist.probs[0] == pytest.approx(0.9241, abs=5e-5)
-    assert np.allclose(dist.probs, mechanism_probs_direct([0, 5], 1.0), atol=1e-12)
+    assert p[0] == pytest.approx(expect0, abs=1e-12)
+    assert p[1] == pytest.approx(1 - expect0, abs=1e-12)
+    assert p[0] == pytest.approx(0.9241, abs=5e-5)
+    assert np.allclose(p, mechanism_probs_direct([0, 5], 1.0), atol=1e-12)
 
 
 def test_mechanism_uniform_when_scores_equal():
     dist = mechanism_distribution([3, 3, 3, 3], 0.7, 12)
-    assert np.allclose(dist.probs, 0.25, atol=1e-12)
+    assert np.allclose(probs(dist, [3, 3, 3, 3]), 0.25, atol=1e-12)
 
 
 def test_mechanism_epsilon_to_zero_limit():
     dist = mechanism_distribution([0, 2, 7, 9], 1e-9, 10)
-    tv = 0.5 * np.abs(dist.probs - 0.25).sum()
+    tv = 0.5 * np.abs(probs(dist, [0, 2, 7, 9]) - 0.25).sum()
     assert tv < 1e-6
 
 
@@ -55,16 +60,18 @@ def test_mechanism_invariants():
         counts = rng.integers(0, n + 1, size=k)
         eps = float(rng.uniform(0.05, 2.0))
         dist = mechanism_distribution(counts, eps, n)
-        assert abs(float(np.exp(dist.log_probs).sum()) - 1.0) <= 1e-12
+        log_probs = dist.log_prob(counts)
+        assert abs(float(np.exp(log_probs).sum()) - 1.0) <= 1e-12
         i, j = rng.integers(0, k, 2)
         expected = -(eps / 2.0) * (counts[i] - counts[j])
-        assert dist.log_probs[i] - dist.log_probs[j] == pytest.approx(expected, abs=1e-12)
+        assert log_probs[i] - log_probs[j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_mechanism_monotone_in_mistakes():
     dist = mechanism_distribution([1, 4, 2, 4], 0.5, 10)
-    assert dist.probs[0] > dist.probs[2] > dist.probs[1]
-    assert dist.probs[1] == pytest.approx(dist.probs[3], abs=1e-15)
+    p = probs(dist, [1, 4, 2, 4])
+    assert p[0] > p[2] > p[1]
+    assert p[1] == pytest.approx(p[3], abs=1e-15)
 
 
 def test_mechanism_validation():
@@ -85,6 +92,9 @@ def test_replace_entry_guards_public():
     priv = int(np.flatnonzero(ds.p)[0])
     with pytest.raises(IllegalNeighborError, match="public entry"):
         replace_entry(ds, pub, [0.0], 1)
+    for bad in (-1, ds.n):  # -1 would otherwise wrap to the last entry
+        with pytest.raises(IndexError, match=f"index {bad} outside dataset of size 12"):
+            replace_entry(ds, bad, [0.0], 1)
     nb = replace_entry(ds, priv, [0.33], 0)
     assert nb.n == ds.n
     assert nb.X[priv, 0] == 0.33 and nb.y[priv] == 0
@@ -103,7 +113,7 @@ def test_neutral_replacement_gives_zero_ratio():
     assert np.array_equal(c0, c1)
     d0 = mechanism_distribution(c0, 1.0, ds.n)
     d1 = mechanism_distribution(c1, 1.0, ds.n)
-    assert float(np.max(np.abs(d0.log_probs - d1.log_probs))) == 0.0
+    assert float(np.max(np.abs(d0.log_prob(c0) - d1.log_prob(c1)))) == 0.0
 
 
 def test_verify_dp_passes_and_matches_direct_recomputation():
@@ -133,24 +143,61 @@ def test_verify_dp_passes_and_matches_direct_recomputation():
 
 def test_neighbor_counts_do_not_wrap_below_zero(monkeypatch):
     # a realizable sample: some hypothesis makes 0 mistakes, and its
-    # neighbour count is computed from 0 - 1 in a signed type
+    # neighbour count is 0 - 1 + its swap count
     ds = label_determined(2, 10, seed=4)
     base = all_mistake_counts(construct_halfspace_family(partition(ds)[0], 2),
                               partition(ds)[2], 2)
     assert base.dtype == np.uint16 and base.min() == 0
     seen = []
-    real = privacy.mechanism_distribution
+    real = privacy.MechanismDistribution
 
-    def spy(counts, eps, n):
-        seen.append(np.asarray(counts))
-        return real(counts, eps, n)
+    def spy(histogram, eps, n):
+        seen.append(np.asarray(histogram))
+        return real(histogram, eps, n)
 
-    monkeypatch.setattr(privacy, "mechanism_distribution", spy)
+    monkeypatch.setattr(privacy, "MechanismDistribution", spy)
     assert verify_dp(ds, [0.5], trials=6, seed=1).passed
-    neighbors = seen[1:]
-    assert len(neighbors) == 6
-    for counts in neighbors:
-        assert counts.dtype.kind == "i" and 0 <= counts.min() and counts.max() <= ds.n
+    assert len(seen) == 6
+    for hist in seen:
+        assert hist.dtype.kind == "i" and hist.shape == (ds.n + 1,)
+        assert hist.min() >= 0 and hist.sum() == base.size
+
+
+def test_verify_dp_refuses_a_neighbor_count_below_zero(monkeypatch):
+    # planted: every swap count 0, so a hypothesis with 0 mistakes would
+    # have -1 on the neighbour, which must raise rather than wrap to bin n
+    ds = label_determined(2, 10, seed=4)
+    real = privacy.all_mistake_counts
+
+    def planted(family, sample, dim):
+        counts = real(family, sample, dim)
+        return np.zeros_like(counts) if sample.n == 2 else counts
+
+    monkeypatch.setattr(privacy, "all_mistake_counts", planted)
+    with pytest.raises(AssertionError, match="outside 0..n"):
+        verify_dp(ds, [0.5], trials=2, seed=1)
+
+
+def test_verify_dp_matches_per_hypothesis_oracle_bit_for_bit():
+    # every trial's ratio equals the log-ratio taken at every hypothesis of
+    # the base and of a neighbour rebuilt from scratch, to the last bit
+    eps = [0.1, 1.0, 3.0]
+    for dim, n, seed, cap in [(1, 12, 3, None), (2, 14, 4, None), (3, 14, 5, 5)]:
+        spec = GeneratorSpec(dim=dim, target=Halfspace(np.ones(dim), 0.1),
+                             label_noise=0.2, seed=seed)
+        ds = generate(spec, n)
+        report = verify_dp(ds, eps, pool_cap=cap, trials=8, seed=seed)
+        fam = construct_halfspace_family(partition(ds)[0], dim, cap)
+        base = all_mistake_counts(fam, partition(ds)[2], dim)
+        rng = np.random.default_rng(seed)
+        priv_idx = np.flatnonzero(ds.p)
+        for t in range(8):
+            idx = int(rng.choice(priv_idx))
+            nb = replace_entry(ds, idx, rng.standard_normal(dim), int(rng.integers(0, 2)))
+            nb_counts = all_mistake_counts(fam, partition(nb)[2], dim)
+            for trial, e in zip(report.trials[3 * t:3 * t + 3], eps):
+                assert (trial.index, trial.epsilon) == (idx, e)
+                assert trial.max_log_ratio == audit_ratio_oracle(base, nb_counts, e, n)
 
 
 def test_verify_dp_pointwise_bound_full_outcome_space():
@@ -159,23 +206,6 @@ def test_verify_dp_pointwise_bound_full_outcome_space():
         ds = label_determined(2, 10, seed=seed)
         report = verify_dp(ds, [0.1, 1.0], trials=10, seed=seed)
         assert report.passed
-
-
-def test_verify_dp_refuses_public_indices():
-    ds = label_determined(1, 12, seed=6)
-    pub = int(np.flatnonzero(~ds.p)[0])
-    with pytest.raises(IllegalNeighborError, match="public entry"):
-        verify_dp(ds, 1.0, trials=2, indices=[pub])
-
-
-def test_verify_dp_refuses_indices_outside_the_dataset():
-    # the last entry is private, so -1 would otherwise wrap to it
-    y = np.array([0, 1] * 6)
-    ds = PPMDataset(dim=1, X=np.random.default_rng(11).standard_normal((12, 1)),
-                    y=y, p=y)
-    for bad in (-1, ds.n):
-        with pytest.raises(IndexError, match=f"index {bad} outside dataset of size 12"):
-            verify_dp(ds, 1.0, trials=2, indices=[bad])
 
 
 def test_verify_dp_requires_private_entries():
@@ -192,14 +222,6 @@ def test_verify_dp_class_guard():
         verify_dp(ds, 1.0, class_limit=10)
 
 
-def test_verify_dp_explicit_private_indices():
-    ds = label_determined(1, 12, seed=10)
-    priv = [int(i) for i in np.flatnonzero(ds.p)[:2]]
-    report = verify_dp(ds, 1.0, trials=4, indices=priv, seed=0)
-    assert report.passed
-    assert {t.index for t in report.trials} <= set(priv)
-
-
 def test_verify_dp_refuses_an_audit_that_checks_nothing(monkeypatch):
     def no_scoring(*a, **k):
         raise AssertionError("scored before refusing")
@@ -209,5 +231,3 @@ def test_verify_dp_refuses_an_audit_that_checks_nothing(monkeypatch):
     for trials in (0, -2):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_dp(ds, 1.0, trials=trials)
-    with pytest.raises(ValueError, match="at least one private entry"):
-        verify_dp(ds, 1.0, trials=4, indices=[])
