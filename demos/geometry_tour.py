@@ -1,8 +1,9 @@
 """Tour of the convex-geometry kernel.
 
-Walks through the pieces the learner is built from: supported halfspace
-pairs through small point sets, affine spans, hull facets, feasibility of
-halfspace intersections, and small infeasibility witnesses.
+Walks through the pieces the learner is built from: supported hyperplanes
+through small point sets, each a halfspace and its opposite, affine spans,
+hull facets, feasibility of halfspace intersections, and small
+infeasibility witnesses.
 """
 
 import numpy as np
@@ -14,18 +15,22 @@ from ppmlearn import (
     helly_witness,
     hull_facet_halfspaces,
     region_feasible,
-    supporting_halfspace_pair,
+    supporting_hyperplanes,
 )
 
 print("== supported halfspace pairs ==")
-h, h_op = supporting_halfspace_pair([(1.0, 0.0), (0.0, 1.0)], 2)
+# one row (W, w0) per point subset, given as row indices into the points
+W, w0 = supporting_hyperplanes([(1.0, 0.0), (0.0, 1.0)], [[0, 1]])
+h = Halfspace(W[0], w0[0])
+h_op = h.opposite()
 print(f"through (1,0) and (0,1): {h}")
 print(f"its opposite:            {h_op}")
 print(f"both contain the midpoint on their shared hyperplane: "
       f"{h.contains([0.5, 0.5])}, {h_op.contains([0.5, 0.5])}")
 
 # an underdetermined set: one point in R^3 still gets a deterministic plane
-h1, _ = supporting_halfspace_pair([(3.0, -1.0, 2.0)], 3)
+W, w0 = supporting_hyperplanes([(3.0, -1.0, 2.0)], [[0]])
+h1 = Halfspace(W[0], w0[0])
 print(f"single point in R^3 -> {h1}")
 
 print()

@@ -27,28 +27,26 @@ from .geometry import (
     helly_witness,
     hull_facet_halfspaces,
     region_feasible,
-    supporting_halfspace_pair,
+    supporting_hyperplanes,
 )
+from .erm import erm_halfspace
 from .learner import (
     EMPTY_REGION,
     BudgetExceededError,
     HalfspaceFamily,
     IntersectionHypothesis,
     LearnResult,
-    MechanismDistribution,
     all_mistake_counts,
     best_in_class,
     class_cardinality,
     construct_halfspace_family,
     default_pool_cap,
-    erm_halfspace,
     hypothesis_error,
     learn_half,
-    mechanism_distribution,
-    predict,
     predict_many,
     unrank_hypothesis,
 )
+from .mechanism import MechanismDistribution, mechanism_distribution
 from .model import (
     EmptySampleError,
     ErrorCount,

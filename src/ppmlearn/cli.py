@@ -8,7 +8,6 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or input error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -22,13 +21,9 @@ from .bounds import (
     realizable_sample_bound,
 )
 from .data import CsvFormatError, GeneratorSpec, generate, read_csv, write_csv
+from .erm import erm_halfspace
 from .geometry import Halfspace
-from .learner import (
-    DEFAULT_HYPOTHESIS_BUDGET,
-    default_pool_cap,
-    erm_halfspace,
-    learn_half,
-)
+from .learner import DEFAULT_HYPOTHESIS_BUDGET, default_pool_cap, learn_half
 from .model import ErrorCount, curator_only_fields, partition
 from .privacy import DEFAULT_AUDIT_CLASS_LIMIT, verify_dp
 from .experiments import (
@@ -71,31 +66,6 @@ def _generator_from_args(args) -> GeneratorSpec:
                          privacy_flip=args.rho, seed=args.seed)
 
 
-def _sweep_config_from_dict(d: dict, out_dir=None) -> SweepConfig:
-    if not isinstance(d, dict):
-        raise UsageError("sweep config must be a JSON object")
-    try:
-        g = d["generator"]
-        spec = GeneratorSpec(
-            dim=int(g["dim"]),
-            target=Halfspace(g["target_normal"], float(g["target_offset"])),
-            marginal=g.get("marginal", "gaussian"),
-            affine_dim=g.get("affine_dim"),
-            label_noise=float(g.get("label_noise", 0.0)),
-            privacy_flip=float(g.get("privacy_flip", 0.0)),
-            seed=int(g.get("seed", 0)))
-        return SweepConfig(
-            generator=spec, n_grid=tuple(d["n_grid"]),
-            epsilon_grid=tuple(d["epsilon_grid"]), trials=int(d.get("trials", 1)),
-            holdout=int(d.get("holdout", 10_000)), pool_cap=d.get("pool_cap"),
-            seed=int(d.get("seed", 0)),
-            out_dir=out_dir if out_dir is not None else d.get("out_dir"))
-    except KeyError as exc:
-        raise UsageError(f"sweep config lacks key {exc}") from None
-    except TypeError as exc:
-        raise UsageError(f"malformed sweep config: {exc}") from None
-
-
 # JSON key of each reported diagnostic -> (LearnDiagnostics field, conversion)
 _DIAGNOSTIC_KEYS = {
     "aff_dim": ("aff_dim", int),
@@ -117,13 +87,10 @@ def _hypothesis_json(result, curator_stats: bool = False) -> dict:
     so are not covered by the epsilon-DP guarantee."""
     g, family, diag = result
     members = None if g.is_empty_region else list(g.members)
-    halfspaces = []
-    if members:
-        for i in members:
-            h = family.halfspaces[i]
-            halfspaces.append({"normal": [float(v) for v in h.normal],
-                               "offset": h.offset,
-                               "source": list(h.source) if h.source else None})
+    halfspaces = [{"normal": [float(v) for v in family.W[i]],
+                   "offset": float(family.w0[i]),
+                   "source": [int(j) for j in family.sources[i] if j >= 0] or None}
+                  for i in members or ()]
     payload = {
         "empty_region": g.is_empty_region,
         "members": members,
@@ -238,11 +205,17 @@ def cmd_bounds(args) -> int:
 def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    config = _sweep_config_from_dict(raw, out_dir=args.out)
+    if not isinstance(raw, dict):
+        raise UsageError("sweep config must be a JSON object")
+    flags = {"out_dir": args.out, "pool_cap": args.pool_cap}
+    try:
+        config = SweepConfig.from_dict(raw | {k: v for k, v in flags.items() if v is not None})
+    except KeyError as exc:
+        raise UsageError(f"sweep config lacks key {exc}") from None
+    except TypeError as exc:
+        raise UsageError(f"malformed sweep config: {exc}") from None
     if config.out_dir is None:
         raise UsageError("sweep needs --out or out_dir in the config")
-    if args.pool_cap is not None:
-        config = dataclasses.replace(config, pool_cap=args.pool_cap)
     records = run_sweep(config)
     print(f"{len(records)} records -> {config.out_dir}/records.csv")
     return 0
@@ -265,13 +238,17 @@ def cmd_summarize(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--out", type=str, default=None, help="output directory")
-    shared.add_argument("--pool-cap", dest="pool_cap", type=int, default=None,
-                        help="construction pool cap; 0 forces uncapped, absent "
-                             "uses the per-dimension default where one applies")
-    shared.add_argument("--budget", type=int, default=DEFAULT_HYPOTHESIS_BUDGET,
+    # each subcommand takes only the flags its command reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="output directory")
+    pool_cap = argparse.ArgumentParser(add_help=False)
+    pool_cap.add_argument("--pool-cap", dest="pool_cap", type=int, default=None,
+                          help="construction pool cap; 0 forces uncapped, absent "
+                               "uses the per-dimension default where one applies")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_HYPOTHESIS_BUDGET,
                         help="hypothesis-count guard")
 
     parser = argparse.ArgumentParser(
@@ -280,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "private/public samples")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[shared], help="generate a synthetic dataset CSV")
+    p = sub.add_parser("gen", parents=[seed, out], help="generate a synthetic dataset CSV")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--marginal", choices=("gaussian", "cube", "affine"),
@@ -292,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", type=str, default="dataset.csv")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("learn", parents=[shared], help="run the private learner")
+    p = sub.add_parser("learn", parents=[seed, out, pool_cap, budget],
+                       help="run the private learner")
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--curator-stats", dest="curator_stats", action="store_true",
@@ -300,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "from private data without noise")
     p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("erm", parents=[shared], help="exact ERM halfspace")
+    p = sub.add_parser("erm", help="exact ERM halfspace")
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_erm)
 
-    p = sub.add_parser("verify-dp", parents=[shared],
+    p = sub.add_parser("verify-dp", parents=[seed, pool_cap],
                        help="exact neighbor audit of the learner")
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon", type=float, nargs="+", default=[1.0])
@@ -313,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_AUDIT_CLASS_LIMIT)
     p.set_defaults(func=cmd_verify_dp)
 
-    p = sub.add_parser("bounds", parents=[shared], help="evaluate the closed-form bounds")
+    p = sub.add_parser("bounds", help="evaluate the closed-form bounds")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--alpha", type=float, required=True)
@@ -325,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-size", dest="class_size", type=int, default=None)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("sweep", parents=[shared], help="run a seeded experiment sweep")
+    p = sub.add_parser("sweep", parents=[out, pool_cap], help="run a seeded experiment sweep")
     p.add_argument("--config", required=True, help="JSON config mirroring SweepConfig")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("summarize", parents=[shared],
+    p = sub.add_parser("summarize", parents=[out],
                        help="per-cell summary of sweep records")
     p.add_argument("--records", type=str, default=None, help="records.csv path")
     p.add_argument("--beta", type=float, default=0.05)

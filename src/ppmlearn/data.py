@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Halfspace, MEM_TOL
+from .geometry import Halfspace, point_tolerances
 from .model import LabeledSample, PPMDataset
 
 MARGINALS = ("gaussian", "cube", "affine")
@@ -100,9 +100,7 @@ def _draw_clear_of_boundary(spec: GeneratorSpec, n: int,
     X = _draw_points(spec, n, rng)
     w, w0 = spec.target.normal, spec.target.offset
     for _ in range(100):
-        margin = np.abs(X @ w - w0)
-        tol = MEM_TOL * (1.0 + np.linalg.norm(X, axis=1))
-        close = margin <= tol
+        close = np.abs(X @ w - w0) <= point_tolerances(X)
         if not np.any(close):
             return X
         X[close] = _draw_points(spec, int(np.sum(close)), rng)

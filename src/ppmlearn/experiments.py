@@ -25,12 +25,9 @@ from .bounds import (
     realizable_sample_bound,
 )
 from .data import GeneratorSpec, generate, generate_holdout
-from .learner import (
-    default_pool_cap,
-    erm_halfspace,
-    hypothesis_error,
-    learn_half,
-)
+from .erm import erm_halfspace
+from .geometry import Halfspace
+from .learner import default_pool_cap, hypothesis_error, learn_half
 from .model import partition
 
 
@@ -74,6 +71,27 @@ class SweepConfig:
 
     def cells(self) -> list[tuple[int, float]]:
         return [(n, e) for n in self.n_grid for e in self.epsilon_grid]
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SweepConfig":
+        """The config that ``as_dict`` writes, plus an optional ``out_dir``;
+        keys other than the grids and the generator's dim, target_normal and
+        target_offset take their defaults. A missing key raises KeyError and
+        a value of the wrong kind TypeError or ValueError."""
+        g = d["generator"]
+        spec = GeneratorSpec(
+            dim=int(g["dim"]),
+            target=Halfspace(g["target_normal"], float(g["target_offset"])),
+            marginal=g.get("marginal", "gaussian"),
+            affine_dim=g.get("affine_dim"),
+            label_noise=float(g.get("label_noise", 0.0)),
+            privacy_flip=float(g.get("privacy_flip", 0.0)),
+            seed=int(g.get("seed", 0)))
+        return cls(
+            generator=spec, n_grid=tuple(d["n_grid"]),
+            epsilon_grid=tuple(d["epsilon_grid"]), trials=int(d.get("trials", 1)),
+            holdout=int(d.get("holdout", 10_000)), pool_cap=d.get("pool_cap"),
+            seed=int(d.get("seed", 0)), out_dir=d.get("out_dir"))
 
     def as_dict(self) -> dict:
         g = self.generator

@@ -9,19 +9,20 @@ witnesses.
 Every orthonormal basis here comes from one batched modified Gram-Schmidt,
 ``_gram_schmidt`` on top of ``_project_out``, which runs over many point
 subsets at once: the supported hyperplanes of ``supporting_hyperplanes``
-(and of ``supporting_halfspace_pair``, that kernel for one subset), the
-basis of ``affine_span``, the facet normals of ``hull_facet_halfspaces``
-over all subsets of chart points, and the chart changes of the LP.
+(over the subsets ``_combinations`` lists), the basis of ``affine_span``,
+the facet normals of ``hull_facet_halfspaces`` over all subsets of chart
+points, and the chart changes of the LP.
 Near-duplicate rows are removed by ``dedup_rows``. Families are arrays, so
 thousands of halfspaces need no per-subset Python objects.
 
 All tolerances are relative to the data scale: a point x is "on" a unit
-hyperplane when |w.x - w0| <= MEM_TOL * (1 + ||x||).
+hyperplane when |w.x - w0| <= MEM_TOL * (1 + ||x||) (``point_tolerances``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ AFF_TOL = 1e-9    # affine-subspace distance, relative
 LP_TOL = 1e-9     # LP feasibility slack
 DEDUP_TOL = 1e-9  # canonical (w, w0) equality
 RANK_TOL = 1e-10  # orthonormalization / numerical-rank threshold
-_HULL_ENTRIES = 1 << 19  # point-facet values per hull block
+_CHUNK_ENTRIES = 1 << 19  # entries per block and per temporary
 
 _LP_SEED = 0x5E1DE1  # fixed seed: randomized LP insertion order is reproducible
 
@@ -43,6 +44,13 @@ class DimensionMismatch(ValueError):
 def point_tolerance(x) -> float:
     """Membership tolerance for a point: MEM_TOL * (1 + ||x||)."""
     return MEM_TOL * (1.0 + float(np.linalg.norm(x)))
+
+
+def point_tolerances(X) -> np.ndarray:
+    """``point_tolerance`` of every row of the (n, d) float array X. The row
+    norms are ``np.linalg.norm(X, axis=1)`` bit for bit, without its call
+    overhead; the 1-d norm of one point may differ in the last bit."""
+    return MEM_TOL * (1.0 + np.sqrt(np.add.reduce(X * X, axis=1)))
 
 
 def _points(points, dim: int) -> np.ndarray:
@@ -76,7 +84,7 @@ def canonicalize(normal, offset):
 class Halfspace:
     """Closed halfspace {x : w.x >= w0} with unit normal w.
 
-    Doubles as a binary classifier: label(x) = 1 iff x is in the halfspace.
+    Doubles as a binary classifier: 1 iff ``contains(x)``.
     ``source`` optionally records the dataset indices of the point subset
     supporting the bounding hyperplane.
     """
@@ -107,17 +115,9 @@ class Halfspace:
     def contains(self, x) -> bool:
         return self.signed_value(x) >= -point_tolerance(x)
 
-    def on_boundary(self, x) -> bool:
-        return abs(self.signed_value(x)) <= point_tolerance(x)
-
-    def label(self, x) -> int:
-        """Classifier value 1(x in halfspace)."""
-        return int(self.contains(x))
-
     def contains_many(self, X) -> np.ndarray:
         X = _points(X, self.dim)
-        tol = MEM_TOL * (1.0 + np.linalg.norm(X, axis=1))
-        return X @ self.normal - self.offset >= -tol
+        return X @ self.normal - self.offset >= -point_tolerances(X)
 
     def opposite(self) -> "Halfspace":
         """The halfspace {x : w.x <= w0}; shares the bounding hyperplane."""
@@ -165,11 +165,6 @@ class AffineSubspace:
     def full_space(cls, dim: int) -> "AffineSubspace":
         return cls(np.zeros(dim), np.eye(dim))
 
-    @classmethod
-    def single_point(cls, p) -> "AffineSubspace":
-        p = np.asarray(p, dtype=float)
-        return cls(p, np.zeros((0, p.size)))
-
     @property
     def dim(self) -> int:
         return self.base.size
@@ -177,10 +172,6 @@ class AffineSubspace:
     @property
     def k(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def is_full(self) -> bool:
-        return self.k == self.dim
 
     def to_chart(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -269,12 +260,13 @@ def supporting_hyperplanes(X, combos):
     """Unit normal and offset of the supported hyperplane of every subset.
 
     ``combos`` is an (B, k) integer array of row indices into ``X`` (n, d),
-    1 <= k <= d, one subset per row; ``supporting_halfspace_pair`` returns
-    row b of the result first for ``X[combos[b]]``. The centered points are
-    orthonormalized in order (``_gram_schmidt``), keeping directions whose
-    residual norm exceeds RANK_TOL * scale, at most k - 1 of them: k centered
-    points span no more, and far from the origin the rounding of the
-    centering alone can leave a k-th residual above that. The normal is the
+    1 <= k <= d, one subset per row (``_combinations`` lists every subset of
+    a size). Row b is the halfspace {x : W[b] . x >= w0[b]}; its negation
+    is the opposite halfspace. The centered points are orthonormalized in
+    order (``_gram_schmidt``), keeping directions whose residual norm
+    exceeds RANK_TOL * scale, at most k - 1 of them: k centered points span
+    no more, and far from the origin the rounding of the centering alone
+    can leave a k-th residual above that. The normal is the
     first standard basis vector whose residual against that span exceeds
     RANK_TOL, normalized (so canonical already), with its first coordinate
     above 1e-12 in magnitude made positive. The offset is the normal's inner
@@ -300,23 +292,11 @@ def supporting_hyperplanes(X, combos):
     return W, w0
 
 
-def supporting_halfspace_pair(points, dim: int, source=None):
-    """One halfspace supported by the given points, and its opposite.
-
-    The points, an (count, dim) array with 1 <= count <= dim, all lie on
-    the shared bounding hyperplane, chosen deterministically for
-    underdetermined sets: ``supporting_hyperplanes`` for one subset.
-    """
-    P = _points(points, dim)
-    if P.shape[0] == 0:
-        raise ValueError("empty supporting set")
-    if P.shape[0] > dim:
-        raise ValueError(f"oversized supporting set: {P.shape[0]} points in dimension {dim}")
-    if not np.all(np.isfinite(P)):
-        raise ValueError("supporting points must be finite")
-    W, w0 = supporting_hyperplanes(P, np.arange(P.shape[0])[None, :])
-    h = Halfspace(W[0], w0[0], source=tuple(source) if source is not None else None)
-    return h, h.opposite()
+def _combinations(m: int, size: int) -> np.ndarray:
+    """Every strictly increasing ``size``-tuple of range(m), lexicographic,
+    as rows of an integer array."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), size))
+    return np.fromiter(flat, dtype=np.intp, count=math.comb(m, size) * size).reshape(-1, size)
 
 
 def affine_span(points, dim: int | None = None) -> AffineSubspace:
@@ -391,13 +371,15 @@ def hull_facet_halfspaces(points, aff: AffineSubspace) -> list[Halfspace]:
         raise ValueError("all points must lie inside the affine subspace")
     k = aff.k
     if k == 0:
-        return list(supporting_halfspace_pair(P[:1], aff.dim, source=(0,)))
+        W, w0 = supporting_hyperplanes(P, [[0]])
+        h = Halfspace(W[0], w0[0], source=(0,))
+        return [h, h.opposite()]
     Z = aff.to_chart(P)
     if affine_span(Z, k).k != k:
         raise ValueError("points do not span the affine subspace")
-    tol = MEM_TOL * (1.0 + np.linalg.norm(Z, axis=1))
+    tol = point_tolerances(Z)
     subsets = itertools.combinations(range(P.shape[0]), k)
-    hs, per_block = [], max(1, _HULL_ENTRIES // P.shape[0])
+    hs, per_block = [], max(1, _CHUNK_ENTRIES // P.shape[0])
     for block in iter(lambda: list(itertools.islice(subsets, per_block)), []):
         sub = Z[np.array(block, dtype=np.intp)]      # (B, k, k)
         D = sub[:, 1:] - sub[:, :1]

@@ -2,9 +2,10 @@
 
 The auditor is exact rather than sampling-based: it compares, at every
 hypothesis of the class, the learner's output law on a dataset with its
-law on single-private-entry replacements of it. Both laws are the
-learner's own ``MechanismDistribution``, the object ``learn_half`` draws
-from, built from the histogram of mistake counts. A hypothesis's
+law on single-private-entry replacements of it. Both laws are
+``mechanism.MechanismDistribution``, the object ``learn_half`` draws
+from, built from the histogram of mistake counts; the class and its
+counts come from the learner's own scorer. A hypothesis's
 log-ratio depends only on its mistake count on the dataset and on the two
 swapped entries, so each trial evaluates it once per such pair rather than
 once per hypothesis. Because the class is built from public entries only,
@@ -18,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import (
-    MechanismDistribution,
-    all_mistake_counts,
-    check_pool_budget,
-    construct_halfspace_family,
-    mechanism_distribution,
-)
+from .learner import all_mistake_counts, check_pool_budget, construct_halfspace_family
+from .mechanism import MechanismDistribution, mechanism_distribution
 from .model import LabeledSample, PPMDataset, curator_only, partition, release_safe
 
 DEFAULT_AUDIT_CLASS_LIMIT = 100_000

@@ -17,15 +17,15 @@ from ppmlearn.geometry import (
     helly_witness,
     region_feasible,
 )
+from ppmlearn.erm import erm_halfspace
 from ppmlearn.learner import (
     DEFAULT_HYPOTHESIS_BUDGET,
     EMPTY_REGION,
     best_in_class,
     class_cardinality,
     construct_halfspace_family,
-    erm_halfspace,
     learn_half,
-    predict,
+    predict_many,
 )
 from ppmlearn.model import PPMDataset, partition
 from ppmlearn.privacy import verify_dp
@@ -244,10 +244,9 @@ def test_criterion_9_public_only_invariance():
             fam_a = construct_halfspace_family(partition(ds_a)[0], dim)
             fam_b = construct_halfspace_family(partition(ds_b)[0], dim)
             assert fam_a.size == fam_b.size
-            for ha, hb in zip(fam_a.halfspaces, fam_b.halfspaces):
-                assert np.array_equal(ha.normal, hb.normal)
-                assert ha.offset == hb.offset
-                assert ha.source == hb.source
+            assert np.array_equal(fam_a.W, fam_b.W)
+            assert np.array_equal(fam_a.w0, fam_b.w0)
+            assert np.array_equal(fam_a.sources, fam_b.sources)
             assert np.array_equal(fam_a.aff.base, fam_b.aff.base)
             assert np.array_equal(fam_a.aff.basis, fam_b.aff.basis)
             assert class_cardinality(fam_a.size, dim) == class_cardinality(fam_b.size, dim)
@@ -266,7 +265,7 @@ def test_criterion_10_empty_public_path():
             assert res.diagnostics.family_size == 0
             assert res.diagnostics.class_size == 1
             assert res.hypothesis is EMPTY_REGION
-            for x in rng.standard_normal((10, 2)):
-                assert predict(res.hypothesis, res.family, x) == 1
+            assert np.all(predict_many(res.hypothesis, res.family,
+                                       rng.standard_normal((10, 2))) == 1)
             assert res.diagnostics.selected_mistakes == 0  # every label is 1
         print("  20 seeds: empty family, singleton class, constant-1 output")

@@ -181,6 +181,24 @@ def test_malformed_input_exit_two(tmp_path, capsys, command, name, text):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--d", "2", "--alpha", "0.1", "--budget", "5"],
+    ["bounds", "--d", "2", "--alpha", "0.1", "--pool-cap", "3"],
+    ["erm", "--data", "dataset.csv", "--out", "run"],
+    ["erm", "--data", "dataset.csv", "--seed", "9"],
+    ["verify-dp", "--data", "dataset.csv", "--budget", "1"],
+    ["gen", "--dim", "1", "--n", "5", "--pool-cap", "3"],
+    ["sweep", "--config", "sweep.json", "--seed", "1"],
+    ["summarize", "--out", "run", "--budget", "5"],
+], ids=["bounds-budget", "bounds-pool-cap", "erm-out", "erm-seed", "verify-dp-budget",
+        "gen-pool-cap", "sweep-seed", "summarize-budget"])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_pool_cap_zero_means_uncapped(tmp_path, capsys):
     out = str(tmp_path)
     run_cli(["gen", "--dim", "2", "--n", "24", "--seed", "9", "--out", out])

@@ -21,7 +21,7 @@ def test_clean_generation_is_realizable_and_label_determined():
     spec = spec_1d(seed=1)
     ds = generate(spec, 200)
     _, _, s_prime = partition(ds)
-    assert empirical_error(spec.target.label, s_prime).mistakes == 0
+    assert empirical_error(spec.target.contains, s_prime).mistakes == 0
     assert np.array_equal(ds.p, ds.y == 1)
 
 

@@ -40,6 +40,18 @@ def test_config_validation():
                     pool_cap=-3)
 
 
+def test_config_dict_round_trip():
+    # every field that as_dict writes, off its default, comes back from it
+    gen = GeneratorSpec(dim=3, target=Halfspace([0.3, -1.2, 0.7], 0.4), marginal="affine",
+                        affine_dim=2, label_noise=0.1, privacy_flip=0.05, seed=7)
+    for pool_cap in (None, 0, 5):
+        c = SweepConfig(generator=gen, n_grid=(40, 80), epsilon_grid=(0.5, 1.0), trials=3,
+                        holdout=2000, pool_cap=pool_cap, seed=5)
+        back = SweepConfig.from_dict(c.as_dict())
+        assert back.config_hash() == c.config_hash()
+        assert back.as_dict() == c.as_dict()
+
+
 def test_pool_cap_resolution():
     cfg = small_config()
     assert cfg.resolved_pool_cap is None  # d=1 default: uncapped

@@ -14,8 +14,8 @@ from ppmlearn.geometry import (
     dedup_rows,
     helly_witness,
     hull_facet_halfspaces,
+    point_tolerance,
     region_feasible,
-    supporting_halfspace_pair,
     supporting_hyperplanes,
 )
 
@@ -68,11 +68,25 @@ def test_opposite_involution_bit_exact():
         assert back.offset == h.offset
 
 
+def on_boundary(h, x):
+    """x lies on h's bounding hyperplane, within its membership tolerance."""
+    return abs(h.signed_value(x)) <= point_tolerance(x)
+
+
 # --- supporting pairs ------------------------------------------------------
 
 
+def supporting_pair(points):
+    """The halfspace of ``supporting_hyperplanes``' row for all the points,
+    and its opposite."""
+    P = np.asarray(points, dtype=float)
+    W, w0 = supporting_hyperplanes(P, [range(len(P))])
+    h = Halfspace(W[0], w0[0])
+    return h, h.opposite()
+
+
 def test_supporting_pair_two_points_d2():
-    h, hop = supporting_halfspace_pair([(1.0, 0.0), (0.0, 1.0)], 2)
+    h, hop = supporting_pair([(1.0, 0.0), (0.0, 1.0)])
     assert np.allclose(h.normal, [1 / RT2, 1 / RT2], atol=1e-12)
     assert h.offset == pytest.approx(1 / RT2, abs=1e-12)
     assert np.allclose(hop.normal, -h.normal, atol=0)
@@ -80,26 +94,19 @@ def test_supporting_pair_two_points_d2():
 
 
 def test_supporting_pair_single_point():
-    h, hop = supporting_halfspace_pair([(3.0, 0.0)], 2)
-    assert h.on_boundary([3.0, 0.0])
-    assert hop.on_boundary([3.0, 0.0])
+    h, hop = supporting_pair([(3.0, 0.0)])
+    assert on_boundary(h, [3.0, 0.0])
+    assert on_boundary(hop, [3.0, 0.0])
     assert h.contains([3.0, 0.0]) and hop.contains([3.0, 0.0])
 
 
 def test_supporting_pair_underdetermined_d3_residuals():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    h, hop = supporting_halfspace_pair(pts, 3)
+    h, hop = supporting_pair(pts)
     for p in pts:
         # independent residual check
         assert abs(float(h.normal @ p) - h.offset) <= 1e-9 * (1 + np.linalg.norm(p))
         assert abs(float(hop.normal @ p) - hop.offset) <= 1e-9 * (1 + np.linalg.norm(p))
-
-
-def test_supporting_pair_errors():
-    with pytest.raises(ValueError, match="oversized"):
-        supporting_halfspace_pair([(0.0,), (1.0,)], 1)
-    with pytest.raises(ValueError, match="empty"):
-        supporting_halfspace_pair(np.zeros((0, 2)), 2)
 
 
 def test_supporting_pair_boundary_property_random():
@@ -108,16 +115,16 @@ def test_supporting_pair_boundary_property_random():
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, d + 1))
         pts = rng.standard_normal((m, d)) * 3
-        h, hop = supporting_halfspace_pair(pts, d)
+        h, hop = supporting_pair(pts)
         for p in pts:
-            assert h.on_boundary(p)
-            assert hop.on_boundary(p)
+            assert on_boundary(h, p)
+            assert on_boundary(hop, p)
 
 
 def test_supporting_pair_deterministic():
     pts = [(0.5, -1.0, 2.0), (1.0, 1.0, 1.0)]
-    a1 = supporting_halfspace_pair(pts, 3)
-    a2 = supporting_halfspace_pair(pts, 3)
+    a1 = supporting_pair(pts)
+    a2 = supporting_pair(pts)
     assert np.array_equal(a1[0].normal, a2[0].normal)
     assert a1[0].offset == a2[0].offset
 
@@ -244,10 +251,9 @@ SIX = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 3.0], [2.0, 2.0], [3.0
 
 @pytest.mark.parametrize("call", [
     lambda: AffineSubspace(np.zeros(2), [[1.0, 0.0, 0.0, 1.0]]),
-    lambda: supporting_halfspace_pair([[1.0, 2.0], [3.0, 5.0]], 4),
     lambda: hull_facet_halfspaces(SIX, AffineSubspace.full_space(3)),
     lambda: affine_span(SIX[:4], 3),
-], ids=["affine_subspace_basis", "supporting_pair", "hull_facets", "affine_span"])
+], ids=["affine_subspace_basis", "hull_facets", "affine_span"])
 def test_misshaped_points_are_refused(call):
     with pytest.raises(DimensionMismatch):
         call()
@@ -268,7 +274,7 @@ def test_contains_examples():
     hop = h.opposite()
     boundary = [0.5, 0.5]
     assert h.contains(boundary) and hop.contains(boundary)
-    assert h.on_boundary(boundary) and hop.on_boundary(boundary)
+    assert on_boundary(h, boundary) and on_boundary(hop, boundary)
 
     aff = AffineSubspace(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
     assert aff.contains([5.0, 0.0, 1e-12])
@@ -293,7 +299,7 @@ def test_hull_facets_triangle():
     assert len(facets) == 3
     for h in facets:
         assert all(h.contains(p) for p in pts)
-        assert any(h.on_boundary(p) for p in pts)
+        assert any(on_boundary(h, p) for p in pts)
 
 
 def test_hull_facets_collinear_segment():
@@ -305,7 +311,7 @@ def test_hull_facets_collinear_segment():
     for h in facets:
         assert all(h.contains(p) for p in pts)
     # the two cuts pin exactly the extreme points
-    boundary_pts = {tuple(p) for p in pts for h in facets if h.on_boundary(p)}
+    boundary_pts = {tuple(p) for p in pts for h in facets if on_boundary(h, p)}
     assert boundary_pts == {(0.0, 0.0), (2.0, 2.0)}
 
 
@@ -314,7 +320,7 @@ def test_hull_facets_single_point():
     facets = hull_facet_halfspaces(pts, affine_span(pts, 2))
     assert len(facets) == 2
     for h in facets:
-        assert h.on_boundary(pts[0])
+        assert on_boundary(h, pts[0])
 
 
 def test_hull_facets_random_vs_orientation_oracle():
@@ -327,7 +333,7 @@ def test_hull_facets_random_vs_orientation_oracle():
         assert len(facets) == len(hull_idx)
         for h in facets:
             assert np.all(h.contains_many(pts))
-            assert any(h.on_boundary(p) for p in pts)
+            assert any(on_boundary(h, p) for p in pts)
         # membership through the facets agrees with the oracle polygon
         hull_pts = [pts[i] for i in hull_idx]
         probes = rng.uniform(-3, 3, size=(40, 2))
@@ -375,7 +381,7 @@ def test_hull_facets_match_per_subset_oracle():
 @pytest.mark.parametrize("entries", [1, 50])
 def test_hull_facets_agree_across_blocks(monkeypatch, entries):
     # one subset a block, and blocks that split the subsets unevenly
-    monkeypatch.setattr(geometry, "_HULL_ENTRIES", entries)
+    monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", entries)
     rng = np.random.default_rng(45)
     cases = [rng.standard_normal((9, 2)), rng.integers(-2, 3, (10, 2)).astype(float),
              rng.standard_normal((8, 3)), 1e6 + rng.standard_normal((7, 3))]

@@ -4,27 +4,29 @@ import math
 import numpy as np
 import pytest
 
-from ppmlearn.geometry import DimensionMismatch, Halfspace
+from ppmlearn.geometry import AffineSubspace, DimensionMismatch, Halfspace
+import ppmlearn.erm as erm
 import ppmlearn.learner as learner
+import ppmlearn.mechanism as mechanism
 import ppmlearn.privacy as privacy
+from ppmlearn.erm import erm_halfspace
 from ppmlearn.learner import (
     DEFAULT_HYPOTHESIS_BUDGET,
     EMPTY_REGION,
     BudgetExceededError,
+    HalfspaceFamily,
     IntersectionHypothesis,
     all_mistake_counts,
     best_in_class,
     class_cardinality,
     construct_halfspace_family,
     default_pool_cap,
-    erm_halfspace,
     hypothesis_error,
     learn_half,
-    mechanism_distribution,
-    predict,
     predict_many,
     unrank_hypothesis,
 )
+from ppmlearn.mechanism import mechanism_distribution
 from ppmlearn.model import EmptySampleError, LabeledSample, PPMDataset, empirical_error, partition
 from ppmlearn.data import GeneratorSpec, generate
 
@@ -57,14 +59,14 @@ def test_family_empty_public_pool():
     s_pub = labeled(np.zeros((0, 2)), [])
     fam = construct_halfspace_family(s_pub, 2)
     assert fam.size == 0
-    assert fam.aff.is_full
+    assert fam.aff.k == 2
     assert class_cardinality(fam.size, 2) == 1
     assert list(class_oracle(fam, 2)) == [EMPTY_REGION]
 
 
 def test_family_d1_two_points():
     fam = construct_halfspace_family(labeled([[0.0], [2.0]], [0, 0]), 1)
-    got = {(float(h.normal[0]), h.offset) for h in fam.halfspaces}
+    got = {(float(w[0]), float(b)) for w, b in zip(fam.W, fam.w0)}
     assert got == {(1.0, 0.0), (-1.0, 0.0), (1.0, 2.0), (-1.0, -2.0)}
     assert fam.size == 4  # 2|W| with no duplicates
 
@@ -75,11 +77,12 @@ def test_family_d2_dedup_matches_independent_scan():
     fam = construct_halfspace_family(labeled(X, [0] * 4), 2)
     # raw enumeration: 2 * (C(4,1) + C(4,2)) = 20 halfspaces before dedup
     raw = []
-    from ppmlearn.geometry import supporting_halfspace_pair
+    from ppmlearn.geometry import supporting_hyperplanes
     for size in (1, 2):
         for combo in itertools.combinations(range(4), size):
-            h, hop = supporting_halfspace_pair(X[list(combo)], 2)
-            raw.extend([h, hop])
+            W, w0 = supporting_hyperplanes(X, [combo])
+            h = Halfspace(W[0], w0[0])
+            raw.extend([h, h.opposite()])
     assert len(raw) == 20
     # independent pairwise canonical-equality recount
     unique = []
@@ -101,9 +104,10 @@ def test_family_sources_cite_dataset_indices():
     ds = label_determined_dataset(2, 12, seed=3)
     s_pub, _, _ = partition(ds)
     fam = construct_halfspace_family(s_pub, 2)
-    for h in fam.halfspaces:
-        assert h.source is not None and 1 <= len(h.source) <= 2
-        for i in h.source:
+    for src in fam.sources:
+        src = src[src >= 0]
+        assert 1 <= src.size <= 2
+        for i in src:
             assert not ds.p[i]  # sources are public entries
 
 
@@ -122,10 +126,9 @@ def test_public_only_construction_invariance():
     fam_a = construct_halfspace_family(partition(ds_a)[0], dim)
     fam_b = construct_halfspace_family(partition(ds_b)[0], dim)
     assert fam_a.size == fam_b.size
-    for ha, hb in zip(fam_a.halfspaces, fam_b.halfspaces):
-        assert np.array_equal(ha.normal, hb.normal)
-        assert ha.offset == hb.offset
-        assert ha.source == hb.source
+    assert np.array_equal(fam_a.W, fam_b.W)
+    assert np.array_equal(fam_a.w0, fam_b.w0)
+    assert np.array_equal(fam_a.sources, fam_b.sources)
     assert np.array_equal(fam_a.aff.base, fam_b.aff.base)
     assert np.array_equal(fam_a.aff.basis, fam_b.aff.basis)
 
@@ -138,9 +141,8 @@ def assert_family_matches_oracle(S_pub, dim, pool_cap=None):
     assert fam.size == len(ref)
     assert fam.W.tobytes() == np.array([h.normal for h in ref]).reshape(-1, dim).tobytes()
     assert fam.w0.tobytes() == np.array([h.offset for h in ref], dtype=float).tobytes()
-    assert [h.source for h in fam.halfspaces] == [h.source for h in ref]
-    for h, r in zip(fam.halfspaces, ref):
-        assert h.normal.tobytes() == r.normal.tobytes() and h.offset == r.offset
+    assert [tuple(int(i) for i in src if i >= 0) or None for src in fam.sources] == \
+        [h.source for h in ref]
     # dedup keeps or drops both orientations of a line: member 2k is its
     # plus and member 2k+1 its exact negation
     assert fam.line.tolist() == [i // 2 for i in range(fam.size)]
@@ -191,7 +193,6 @@ def test_family_dedup_chain_keeps_first_and_last():
 
 
 def test_family_refuses_non_unit_normals():
-    from ppmlearn.geometry import AffineSubspace
     for w in (1.0 + 1e-9, 0.5, 0.0, np.nan):
         with pytest.raises(ValueError, match="unit vectors"):
             learner.HalfspaceFamily(np.array([[w]]), np.zeros(1), -np.ones((1, 1)),
@@ -199,7 +200,6 @@ def test_family_refuses_non_unit_normals():
 
 
 def test_family_pairs_adjacent_exact_negations():
-    from ppmlearn.geometry import AffineSubspace
     a, b = [1.0, 0.0], [0.0, 1.0]
     neg = lambda v: [-x for x in v]  # noqa: E731
     # a -a | b | a -a | a (a run of three) | -b | b+1e-15 (not exact) | -b b | b
@@ -318,29 +318,24 @@ def test_negative_members_are_refused():
 
 
 def quadrant_family():
-    hs = (Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0))
-    from ppmlearn.learner import HalfspaceFamily
-    from ppmlearn.geometry import AffineSubspace
-    return HalfspaceFamily.from_halfspaces(hs, AffineSubspace.full_space(2), (0, 1), 2)
+    # members x[0] >= 0 and x[1] >= 0
+    return HalfspaceFamily(np.eye(2), np.zeros(2), -np.ones((2, 2)),
+                           AffineSubspace.full_space(2), (0, 1), 2)
 
 
 def test_predict_examples():
     fam = quadrant_family()
     g = IntersectionHypothesis((0, 1))
-    assert predict(g, fam, [1.0, 1.0]) == 0
-    assert predict(g, fam, [-1.0, 1.0]) == 1
-    assert predict(EMPTY_REGION, fam, [0.0, 0.0]) == 1
+    assert predict_many(g, fam, [[1.0, 1.0], [-1.0, 1.0]]).tolist() == [0, 1]
+    assert predict_many(EMPTY_REGION, fam, [[0.0, 0.0]]).tolist() == [1]
 
 
 def test_predict_outside_affine_subspace():
-    from ppmlearn.learner import HalfspaceFamily
-    from ppmlearn.geometry import AffineSubspace
     aff = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))  # x-axis
-    fam = HalfspaceFamily.from_halfspaces((Halfspace([1.0, 0.0], 0.0),), aff, (0,), 2)
+    fam = HalfspaceFamily([[1.0, 0.0]], [0.0], [[-1, -1]], aff, (0,), 2)
     g = IntersectionHypothesis((0,))
-    assert predict(g, fam, [1.0, 0.5]) == 1   # off the axis
-    assert predict(g, fam, [1.0, 0.0]) == 0
-    assert predict(g, fam, [-1.0, 0.0]) == 1
+    # off the axis, on it inside the member, on it outside
+    assert predict_many(g, fam, [[1.0, 0.5], [1.0, 0.0], [-1.0, 0.0]]).tolist() == [1, 0, 1]
 
 
 def test_predict_many_matches_predict():
@@ -350,7 +345,6 @@ def test_predict_many_matches_predict():
     X = rng.standard_normal((30, 2))
     for g in itertools.islice(class_oracle(fam, 2), 12):
         batch = predict_many(g, fam, X)
-        assert [predict(g, fam, x) for x in X] == list(batch)
         assert [predict_oracle(g, fam, x) for x in X] == list(batch)
 
 
@@ -531,7 +525,6 @@ def test_line_scorer_on_single_label_samples(dim, label):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_line_scorer_with_one_orientation_of_some_lines(dim):
-    from ppmlearn.learner import HalfspaceFamily
     for seed in range(3):
         full, sample = _line_family(_lines_grid, dim, seed)
         rng = np.random.default_rng(seed)
@@ -545,8 +538,8 @@ def test_line_scorer_with_one_orientation_of_some_lines(dim):
         # the same members, reordered so that no two negations are adjacent:
         # every member is a line of its own
         order = np.argsort(fam.sign, kind="stable")
-        alone = HalfspaceFamily.from_halfspaces([fam.halfspaces[i] for i in order],
-                                                fam.aff, fam.pool_indices, dim)
+        alone = HalfspaceFamily(fam.W[order], fam.w0[order], fam.sources[order], fam.aff,
+                                fam.pool_indices, dim)
         assert alone.line.tolist() == list(range(fam.size)) and not alone.sign.any()
         assert_counts_match_naive(alone, sample, dim)
 
@@ -567,13 +560,36 @@ def test_counts_are_compact_integers():
 
 
 def test_histogram_is_taken_in_chunks(monkeypatch):
-    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 7)
+    monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", 7)
+    chunks = []
+    bincount = np.bincount
+
+    def spy(x, weights=None, minlength=0):
+        chunks.append((x.size, minlength))
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
     rng = np.random.default_rng(4)
-    counts = rng.integers(0, 30, 50).astype(np.uint16)
-    counts[45] = 41  # past n: the histogram grows in a later chunk
+    counts = rng.integers(0, 31, 50).astype(np.uint16)
+    counts[45] = 30  # the largest count, n, in a later chunk
     dist = mechanism_distribution(counts, 1.0, 30)
+    monkeypatch.undo()
+    assert chunks == [(7, 31)] * 7 + [(1, 31)]  # every chunk binned into 0..n
     assert np.array_equal(dist.histogram, np.bincount(counts, minlength=31))
-    assert dist.histogram.size == 42 and dist.min_mistakes == int(counts.min())
+    assert dist.histogram.size == 31 and dist.min_mistakes == int(counts.min())
+
+
+@pytest.mark.parametrize("at", [3, 45])
+def test_counts_above_n_are_refused(monkeypatch, at):
+    # no hypothesis makes more than n mistakes on n points: a count above n,
+    # in the first chunk or a later one, is refused, not binned
+    monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", 7)
+    counts = np.random.default_rng(4).integers(0, 31, 50).astype(np.uint16)
+    counts[at] = 41
+    with pytest.raises(ValueError, match="mistake count 41 above n = 30"):
+        mechanism_distribution(counts, 1.0, 30)
+    with pytest.raises(ValueError, match="mistake count 3 above n = 2"):
+        mechanism_distribution([0, 3, 1], 1.0, 2)
 
 
 def _d1_grid_with_duplicates(rng):
@@ -664,15 +680,16 @@ def test_d1_band_tests_agree_across_chunks(no_membership, monkeypatch):
 
 
 def test_d1_counts_with_normals_off_unit_by_1e13(no_membership):
-    from ppmlearn.geometry import AffineSubspace
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.integers(-3, 4, 20).astype(float),
                         [1.0 + 1e-13, 1.0 - 2e-13, -2.0 * (1.0 + 1e-13)]])
     sample = labeled(x[:, None], rng.integers(0, 2, x.size))
-    hs = [Halfspace([s * (1.0 + e)], s * t * (1.0 + e))
-          for t in (-2.0, 0.0, 1.0, 3.0) for s in (1.0, -1.0) for e in (1e-13, -1e-13)]
-    assert all(abs(abs(h.normal[0]) - 1.0) > 0 for h in hs)  # kept off unit
-    fam = learner.HalfspaceFamily.from_halfspaces(hs, AffineSubspace.full_space(1), (), 1)
+    W, w0 = np.array([[s * (1.0 + e), s * t * (1.0 + e)]
+                      for t in (-2.0, 0.0, 1.0, 3.0) for s in (1.0, -1.0)
+                      for e in (1e-13, -1e-13)]).T
+    assert np.all(np.abs(np.abs(W) - 1.0) > 0)  # off unit
+    fam = HalfspaceFamily(W[:, None], w0, -np.ones((W.size, 1)), AffineSubspace.full_space(1),
+                          (), 1)
     naive = [hypothesis_error(g, fam, sample).mistakes for g in class_oracle(fam, 1)]
     assert all_mistake_counts(fam, sample, 1).tolist() == naive
 
@@ -684,7 +701,7 @@ def test_erm_d1_threshold_example():
     s = labeled([[0.0], [1.0], [2.0]], [0, 1, 1])
     h, err = erm_halfspace(s, 1)
     assert err.mistakes == 0
-    assert empirical_error(h.label, s).mistakes == 0
+    assert empirical_error(h.contains, s).mistakes == 0
 
 
 def test_erm_all_ones_constant():
@@ -700,7 +717,7 @@ def test_erm_error_is_reproducible_from_halfspace():
         dim = int(rng.integers(1, 4))
         s = labeled(rng.standard_normal((n, dim)), rng.integers(0, 2, n))
         h, err = erm_halfspace(s, dim)
-        assert empirical_error(h.label, s).mistakes == err.mistakes
+        assert empirical_error(h.contains, s).mistakes == err.mistakes
 
 
 def test_erm_d1_matches_sort_and_scan_oracle():
@@ -778,21 +795,21 @@ def test_erm_settled_rows_stay_near_the_sweep_plane(dim):
         if trial % 4 == 3:  # a small cloud far from the origin
             X = rng.standard_normal((n, dim)) * 1e-2 + 100.0 * rng.standard_normal(dim)
         scale = 1.0 + np.linalg.norm(X, axis=1).max()
-        piv = learner._combinations(n - 1, dim - 1)
-        p, q, frame, spread, _ = learner._rotation_plane(X, piv, scale)
+        piv = erm._combinations(n - 1, dim - 1)
+        p, q, frame, spread, _ = erm._rotation_plane(X, piv, scale)
         i, l = np.nonzero(np.arange(n) > piv[:, -1:])
         p, q = p[i, l], q[i, l]
         r = np.sqrt(p * p + q * q)
         settled = (spread[i] * r
-                   >= 2 * learner._ROW_ERROR / learner._ROW_STRAY * scale ** (dim - 1))
+                   >= 2 * erm._ROW_ERROR / erm._ROW_STRAY * scale ** (dim - 1))
         i, l, p, q = i[settled], l[settled], p[settled], q[settled]
         theta = np.arctan2(q, p)
         phi = np.where(theta < 0, theta + np.pi, theta)[:, None]
         n_l = np.cos(phi) * frame[i, 1] - np.sin(phi) * frame[i, 0]
-        W, _ = learner.supporting_hyperplanes(X, np.column_stack([piv[i], l]))
+        W, _ = erm.supporting_hyperplanes(X, np.column_stack([piv[i], l]))
         stray = np.minimum(np.linalg.norm(W - n_l, axis=1), np.linalg.norm(W + n_l, axis=1))
         worst = max(worst, float(stray.max(initial=0.0)))
-    assert worst <= learner._ROW_STRAY
+    assert worst <= erm._ROW_STRAY
 
 
 def test_erm_d3_scores_thin_triangles_row_by_row(monkeypatch):
@@ -804,13 +821,13 @@ def test_erm_d3_scores_thin_triangles_row_by_row(monkeypatch):
     off_line = np.cross(X[1] - X[0], [0.0, 0.0, 1.0])
     X[2] = X[0] + 0.4 * (X[1] - X[0]) + 1e-6 * off_line / np.linalg.norm(off_line)
     scored = []
-    score = learner._Minimizers.score
-    monkeypatch.setattr(learner._Minimizers, "score", lambda self, W, w0: (
+    score = erm._Minimizers.score
+    monkeypatch.setattr(erm._Minimizers, "score", lambda self, W, w0: (
         scored.append(np.column_stack([W, w0])), score(self, W, w0))[1])
     y = rng.integers(0, 2, 9)
     assert_erm_matches_brute_force(X, y, 3)
-    W, w0 = learner.supporting_hyperplanes(X, [(0, 1, 2)])
-    row = np.append(W[0], w0[0] - 4.0 * learner.MEM_TOL * (1.0 + np.linalg.norm(X, axis=1).max()))
+    W, w0 = erm.supporting_hyperplanes(X, [(0, 1, 2)])
+    row = np.append(W[0], w0[0] - 4.0 * erm.MEM_TOL * (1.0 + np.linalg.norm(X, axis=1).max()))
     assert any(np.any(np.all(rows == row, axis=1)) for rows in scored)
 
 
@@ -1005,7 +1022,7 @@ def test_correct_points_preservation():
         fam = construct_halfspace_family(partition(ds)[0], dim)
         h_erm, _ = erm_halfspace(s_prime, dim)
         erm_mistakes = {i for i, (x, y) in enumerate(s_prime)
-                        if h_erm.label(x) != y}
+                        if h_erm.contains(x) != y}
         found = False
         for g in class_oracle(fam, dim):
             pred = predict_many(g, fam, s_prime.X)
@@ -1029,7 +1046,7 @@ def test_learn_half_all_private_returns_empty_region():
         assert res.hypothesis is EMPTY_REGION
         assert res.diagnostics.class_size == 1
         assert res.diagnostics.family_size == 0
-        assert predict(res.hypothesis, res.family, rng.standard_normal(2)) == 1
+        assert predict_many(res.hypothesis, res.family, rng.standard_normal((1, 2)))[0] == 1
 
 
 def test_learn_half_large_epsilon_hits_minimizer():
@@ -1122,8 +1139,9 @@ def test_learn_half_selection_frequencies_match_exact_distribution():
 
 
 def test_learn_half_draws_from_the_audited_distribution(monkeypatch):
-    assert privacy.MechanismDistribution is learner.MechanismDistribution
-    assert privacy.mechanism_distribution is learner.mechanism_distribution
+    assert privacy.MechanismDistribution is mechanism.MechanismDistribution
+    assert privacy.mechanism_distribution is mechanism.mechanism_distribution
+    assert learner.mechanism_distribution is mechanism.mechanism_distribution
     ds = label_determined_dataset(2, 14, seed=34, eta=0.2)
     res = learn_half(ds, 0.5, seed=3)
     counts = all_mistake_counts(res.family, partition(ds)[2], 2)
@@ -1136,13 +1154,13 @@ def test_learn_half_draws_from_the_audited_distribution(monkeypatch):
     assert dist.sample(np.random.default_rng(3), counts) == (d.selected_rank, d.uniform_draw)
     # the learner's draw goes through the audited class's sampler
     drawn = []
-    real = learner.MechanismDistribution.sample
+    real = mechanism.MechanismDistribution.sample
 
     def spy(self, rng, counts):
         drawn.append(self)
         return real(self, rng, counts)
 
-    monkeypatch.setattr(learner.MechanismDistribution, "sample", spy)
+    monkeypatch.setattr(mechanism.MechanismDistribution, "sample", spy)
     again = learn_half(ds, 0.5, seed=3)
     assert len(drawn) == 1 and isinstance(drawn[0], privacy.MechanismDistribution)
     assert again.diagnostics.selected_rank == d.selected_rank

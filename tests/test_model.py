@@ -97,7 +97,7 @@ def test_empirical_error_realizable_target():
     X = rng.standard_normal((50, 2))
     y = (X @ h.normal - h.offset >= 0).astype(int)
     s = LabeledSample(X, y, np.arange(50))
-    assert empirical_error(h.label, s).mistakes == 0
+    assert empirical_error(h.contains, s).mistakes == 0
 
 
 def test_empirical_error_vs_pointwise_oracle():
@@ -106,8 +106,8 @@ def test_empirical_error_vs_pointwise_oracle():
     y = np.array([1, 0, 1, 1, 0, 0])
     h = Halfspace([1.0, 1.0], 1.0)
     s = LabeledSample(X, y, np.arange(6))
-    err = empirical_error(h.label, s)
-    preds = [h.label(x) for x in X]
+    err = empirical_error(h.contains, s)
+    preds = [int(h.contains(x)) for x in X]
     assert err.mistakes == count_mistakes_pointwise(preds, y)
 
 
@@ -117,8 +117,8 @@ def test_empirical_error_permutation_invariant():
     y = rng.integers(0, 2, 20)
     h = Halfspace([0.3, 1.0], -0.1)
     perm = rng.permutation(20)
-    e1 = empirical_error(h.label, LabeledSample(X, y, np.arange(20)))
-    e2 = empirical_error(h.label, LabeledSample(X[perm], y[perm], np.arange(20)))
+    e1 = empirical_error(h.contains, LabeledSample(X, y, np.arange(20)))
+    e2 = empirical_error(h.contains, LabeledSample(X[perm], y[perm], np.arange(20)))
     assert e1.mistakes == e2.mistakes
 
 
@@ -128,8 +128,8 @@ def test_empirical_error_complement_sums_to_total():
     y = rng.integers(0, 2, 15)
     s = LabeledSample(X, y, np.arange(15))
     h = Halfspace([1.0], 0.0)
-    direct = empirical_error(h.label, s)
-    flipped = empirical_error(lambda x: 1 - h.label(x), s)
+    direct = empirical_error(h.contains, s)
+    flipped = empirical_error(lambda x: 1 - h.contains(x), s)
     assert direct.mistakes + flipped.mistakes == s.n
 
 
