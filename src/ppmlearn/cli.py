@@ -20,12 +20,12 @@ from .bounds import (
     mechanism_utility_bound,
     realizable_sample_bound,
 )
-from .data import CsvFormatError, GeneratorSpec, generate, read_csv, write_csv
+from .data import GeneratorSpec, generate, read_csv, write_csv
 from .erm import erm_halfspace
 from .geometry import Halfspace
-from .learner import DEFAULT_HYPOTHESIS_BUDGET, default_pool_cap, learn_half
+from .learner import DEFAULT_HYPOTHESIS_BUDGET, learn_half, resolve_pool_cap
 from .model import ErrorCount, curator_only_fields, partition
-from .privacy import DEFAULT_AUDIT_CLASS_LIMIT, verify_dp
+from .privacy import verify_dp
 from .experiments import (
     SweepConfig,
     format_summary,
@@ -115,21 +115,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _cli_pool_cap(args, dim: int, default_to_dim: bool):
-    """--pool-cap semantics: absent -> per-dimension default (or uncapped),
-    0 -> uncapped (None to the library), negative -> refused, anything else
-    -> that cap."""
-    if args.pool_cap is None:
-        return default_pool_cap(dim) if default_to_dim else None
-    if args.pool_cap < 0:
-        raise UsageError("pool_cap must be >= 0")
-    return None if args.pool_cap == 0 else args.pool_cap
-
-
 def cmd_learn(args) -> int:
     dataset = read_csv(args.data)
     result = learn_half(dataset, args.epsilon,
-                        pool_cap=_cli_pool_cap(args, dataset.dim, True),
+                        pool_cap=resolve_pool_cap(args.pool_cap, dataset.dim),
                         seed=args.seed, budget=args.budget)
     payload = _hypothesis_json(result, args.curator_stats)
     text = json.dumps(payload, indent=2)
@@ -155,9 +144,8 @@ def cmd_erm(args) -> int:
 def cmd_verify_dp(args) -> int:
     dataset = read_csv(args.data)
     report = verify_dp(dataset, args.epsilon,
-                       pool_cap=_cli_pool_cap(args, dataset.dim, False),
-                       trials=args.trials, seed=args.seed,
-                       class_limit=args.class_limit)
+                       pool_cap=resolve_pool_cap(args.pool_cap, dataset.dim),
+                       trials=args.trials, seed=args.seed)
     for t in report.trials:
         verdict = "ok" if t.max_log_ratio <= t.epsilon + report.slack else "VIOLATION"
         print(f"entry {t.index}: eps={t.epsilon:g} max log-ratio "
@@ -246,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     pool_cap = argparse.ArgumentParser(add_help=False)
     pool_cap.add_argument("--pool-cap", dest="pool_cap", type=int, default=None,
                           help="construction pool cap; 0 forces uncapped, absent "
-                               "uses the per-dimension default where one applies")
+                               "uses the per-dimension default")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=DEFAULT_HYPOTHESIS_BUDGET,
                         help="hypothesis-count guard")
@@ -287,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon", type=float, nargs="+", default=[1.0])
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--class-limit", dest="class_limit", type=int,
-                   default=DEFAULT_AUDIT_CLASS_LIMIT)
     p.set_defaults(func=cmd_verify_dp)
 
     p = sub.add_parser("bounds", help="evaluate the closed-form bounds")
@@ -322,14 +308,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CsvFormatError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # budget refusals (BudgetExceededError) and failed sweep trials
+    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+        # usage and input errors (UsageError, CsvFormatError and
+        # JSONDecodeError are ValueErrors), budget refusals
+        # (BudgetExceededError) and failed sweep trials
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

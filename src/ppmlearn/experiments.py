@@ -27,17 +27,14 @@ from .bounds import (
 from .data import GeneratorSpec, generate, generate_holdout
 from .erm import erm_halfspace
 from .geometry import Halfspace
-from .learner import default_pool_cap, hypothesis_error, learn_half
+from .learner import hypothesis_error, learn_half, resolve_pool_cap
 from .model import partition
 
 
 @dataclass(frozen=True, eq=False)
 class SweepConfig:
     """Grid of (n, epsilon) cells, trials per cell, holdout size, pool cap.
-
-    pool_cap=None applies the per-dimension default; pool_cap=0 forces an
-    uncapped construction pool, which reaches the library as None.
-    """
+    ``pool_cap`` is spelled as ``learner.resolve_pool_cap`` reads it."""
 
     generator: GeneratorSpec
     n_grid: tuple[int, ...]
@@ -58,16 +55,11 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.holdout < 1000:
             raise ValueError("holdout must be >= 1000 for +-0.01 error quotes")
-        if self.pool_cap is not None and self.pool_cap < 0:
-            raise ValueError("pool_cap must be >= 0")
+        resolve_pool_cap(self.pool_cap, self.generator.dim)  # refuses a negative cap
 
     @property
     def resolved_pool_cap(self) -> int | None:
-        if self.pool_cap is None:
-            return default_pool_cap(self.generator.dim)
-        if self.pool_cap == 0:
-            return None
-        return int(self.pool_cap)
+        return resolve_pool_cap(self.pool_cap, self.generator.dim)
 
     def cells(self) -> list[tuple[int, float]]:
         return [(n, e) for n in self.n_grid for e in self.epsilon_grid]

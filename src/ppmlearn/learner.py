@@ -66,13 +66,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def default_pool_cap(dim: int):
-    """Construction pool caps used by the sweep harness and CLI.
+    """Construction pool cap that the sweep and every CLI command default to.
 
-    The class size grows like n_pub^(d^2), so d >= 2 sweeps cap the pool;
-    d = 1 stays uncapped. d = 2 keeps the cap of 40 its sweeps were run
-    with. For d >= 3 the cap is the largest pool whose worst-case class
-    (no halfspace deduplicated) fits the default hypothesis budget.
-    Library calls default to uncapped.
+    The class size grows like n_pub^(d^2), so d >= 2 caps the pool; d = 1
+    stays uncapped. d = 2 keeps the cap of 40 its sweeps were run with. For
+    d >= 3 the cap is the largest pool whose worst-case class (no halfspace
+    deduplicated) fits the default budget. Library calls default to uncapped.
     """
     if dim == 1:
         return None
@@ -82,6 +81,16 @@ def default_pool_cap(dim: int):
     while raw_class_bound(m + 1, dim) <= DEFAULT_HYPOTHESIS_BUDGET:
         m += 1
     return m
+
+
+def resolve_pool_cap(pool_cap: int | None, dim: int) -> int | None:
+    """The sweep's and the CLI's pool cap as the library's: None takes the
+    per-dimension default, 0 is uncapped (None), and below 0 is refused."""
+    if pool_cap is None:
+        return default_pool_cap(dim)
+    if pool_cap < 0:
+        raise ValueError("pool_cap must be >= 0")
+    return None if pool_cap == 0 else int(pool_cap)
 
 
 def raw_class_bound(m: int, dim: int) -> int:

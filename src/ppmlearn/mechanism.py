@@ -40,6 +40,8 @@ class MechanismDistribution:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         hist = np.array(self.histogram, dtype=np.int64)
+        if hist.shape != (self.n + 1,):
+            raise ValueError(f"histogram has {hist.size} bins, not n + 1 = {self.n + 1}")
         if not hist.any():
             raise ValueError("empty score list")
         hist.flags.writeable = False
@@ -81,18 +83,25 @@ class MechanismDistribution:
         raise AssertionError("histogram out of step with the counts")
 
 
+def bin_counts(values: np.ndarray, bins: int, name: str = "mistake count",
+               last: str = "n") -> np.ndarray:
+    """Histogram of the non-negative integers ``values`` over range(bins),
+    in chunks: bincount converts to intp, so it never runs on a full copy.
+    A value past the last bin is refused; ``name`` and ``last`` word the error."""
+    hist = np.zeros(bins, dtype=np.intp)
+    for lo in range(0, values.size, _CHUNK_ENTRIES):
+        part = np.bincount(values[lo:lo + _CHUNK_ENTRIES], minlength=bins)
+        if part.size > bins:
+            raise ValueError(f"{name} {part.size - 1} above {last} = {bins - 1}")
+        hist += part
+    return hist
+
+
 def mechanism_distribution(mistake_counts, epsilon: float, n: int) -> MechanismDistribution:
-    """The law over a class with these mistake counts, binned in chunks.
-    No hypothesis makes more than n mistakes on n points, so a count above
-    n is refused."""
+    """The law over a class with these mistake counts. No hypothesis makes
+    more than n mistakes on n points, so a count above n is refused."""
     c = np.asarray(mistake_counts)
     if c.dtype.kind not in "iu":
         c = c.astype(np.int64)
-    # bincount converts to intp, so it runs in chunks, never on a full copy
-    hist = np.zeros(n + 1, dtype=np.intp)
-    for lo in range(0, c.size, _CHUNK_ENTRIES):
-        part = np.bincount(c[lo:lo + _CHUNK_ENTRIES], minlength=n + 1)
-        if part.size > n + 1:
-            raise ValueError(f"mistake count {part.size - 1} above n = {n}")
-        hist += part
-    return MechanismDistribution(histogram=hist, epsilon=float(epsilon), n=int(n))
+    return MechanismDistribution(histogram=bin_counts(c, n + 1), epsilon=float(epsilon),
+                                 n=int(n))

@@ -5,12 +5,12 @@ hypothesis of the class, the learner's output law on a dataset with its
 law on single-private-entry replacements of it. Both laws are
 ``mechanism.MechanismDistribution``, the object ``learn_half`` draws
 from, built from the histogram of mistake counts; the class and its
-counts come from the learner's own scorer. A hypothesis's
-log-ratio depends only on its mistake count on the dataset and on the two
-swapped entries, so each trial evaluates it once per such pair rather than
-once per hypothesis. Because the class is built from public entries only,
-neighbor runs share the same hypothesis space and the log-ratio is well
-defined at every outcome.
+counts come from the learner's own scorer, under its default budget. A
+hypothesis's log-ratio depends only on its mistake count on the dataset
+and on the two swapped entries, so each trial evaluates it once per such
+pair rather than once per hypothesis. Because the class is built from
+public entries only, neighbor runs share the same hypothesis space and the
+log-ratio is well defined at every outcome.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import all_mistake_counts, check_pool_budget, construct_halfspace_family
-from .mechanism import MechanismDistribution, mechanism_distribution
+from .learner import (DEFAULT_HYPOTHESIS_BUDGET, all_mistake_counts, check_pool_budget,
+                      construct_halfspace_family)
+from .mechanism import MechanismDistribution, bin_counts, mechanism_distribution
 from .model import LabeledSample, PPMDataset, curator_only, partition, release_safe
 
-DEFAULT_AUDIT_CLASS_LIMIT = 100_000
 RATIO_SLACK = 1e-9
 
 
@@ -82,8 +82,7 @@ class DPAuditReport:
 
 
 def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
-              trials: int = 50, seed=0,
-              class_limit: int = DEFAULT_AUDIT_CLASS_LIMIT) -> DPAuditReport:
+              trials: int = 50, seed=0) -> DPAuditReport:
     """Exact neighbor audit of the learner's output distribution.
 
     For ``trials`` random single-private-entry replacements, computes both
@@ -91,13 +90,17 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     maximum pointwise |log P(h) - log P'(h)|. Public entries are never
     touched, since the guarantee holds only with respect to private
     entries; ``trials`` < 1 is refused, as it would check nothing. PASS
-    means every ratio is at most epsilon + 1e-9.
+    means every ratio is at most epsilon + 1e-9. A pool is refused before
+    its family is built exactly when ``learn_half`` refuses it by default.
 
     A hypothesis with c mistakes on the dataset has c - 1 + s on the
     neighbor, where s in {0, 1, 2} counts its mistakes on the flipped old
     entry and the new one. Both laws, and so the ratio at h, depend on h
     only through (c, s): each trial bins the class once by 3c + s and
-    evaluates the ratio once per pair that occurs.
+    evaluates the ratio once per pair that occurs. The keys 3c + s are
+    formed in place in the counts' uint16 while 3n + 2 < 2^16 (uint32
+    beyond); in uint16 a trial holds two vectors of class length, the
+    scaled base counts and its own keys.
     """
     epsilons = tuple(float(e) for e in (epsilon if np.iterable(epsilon) else [epsilon]))
     if any(e <= 0 for e in epsilons):
@@ -108,13 +111,15 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     if priv_idx.size == 0:
         raise IllegalNeighborError("dataset has no private entries to perturb")
     s_pub, s_priv, s_prime = partition(dataset)
-    check_pool_budget(s_pub.n, dataset.dim, pool_cap, class_limit)
+    check_pool_budget(s_pub.n, dataset.dim, pool_cap, DEFAULT_HYPOTHESIS_BUDGET)
     family = construct_halfspace_family(s_pub, dataset.dim, pool_cap)
 
     n = dataset.n
-    base_counts = all_mistake_counts(family, s_prime, dataset.dim)
-    base3 = 3 * base_counts.astype(np.int64)  # 3c would wrap in uint16 past c = 21,845
-    base_dists = {eps: mechanism_distribution(base_counts, eps, n) for eps in epsilons}
+    base = all_mistake_counts(family, s_prime, dataset.dim)
+    base_dists = {eps: mechanism_distribution(base, eps, n) for eps in epsilons}
+    # from here on base holds 3c, in place while 3c + s <= 3n + 2 fits uint16
+    base = base.astype(np.uint16 if 3 * n + 2 < 1 << 16 else np.uint32, copy=False)
+    base *= 3
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(trials):
@@ -125,8 +130,10 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
         # so dropping the old entry adds its flipped mistakes minus one
         swap = LabeledSample(np.vstack([dataset.X[idx], x_new]),
                              [1 - int(dataset.y[idx]), y_new], [idx, idx])
-        pairs = np.bincount(base3 + all_mistake_counts(family, swap, dataset.dim),
-                            minlength=3 * (n + 1))
+        keys = all_mistake_counts(family, swap, dataset.dim).astype(base.dtype, copy=False)
+        keys += base
+        pairs = bin_counts(keys, 3 * (n + 1), "3c + s", "3n + 2")
+        del keys  # released before the next trial scores its swap
         neighbor_hist = _neighbor_histogram(pairs.reshape(n + 1, 3))
         c, s = np.divmod(np.flatnonzero(pairs), 3)
         for eps in epsilons:
@@ -134,7 +141,7 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
             ratio = float(np.max(np.abs(base_dists[eps].log_prob(c) - d1.log_prob(c - 1 + s))))
             results.append(NeighborTrial(index=idx, max_log_ratio=ratio, epsilon=eps))
     return DPAuditReport(epsilons=epsilons, trials=tuple(results),
-                         class_size=base_counts.size, family_size=family.size,
+                         class_size=base.size, family_size=family.size,
                          n=n, slack=RATIO_SLACK)
 
 

@@ -72,8 +72,7 @@ def test_criterion_1_exact_dp():
             rng = np.random.default_rng(1000 + i)
             n = int(rng.integers(4, 17))
             ds = ld_dataset(dim, n, seed=2000 + i, require_private=True)
-            report = verify_dp(ds, [0.1, 1.0], trials=50, seed=3000 + i,
-                               class_limit=100_000)
+            report = verify_dp(ds, [0.1, 1.0], trials=50, seed=3000 + i)
             assert report.class_size <= 100_000
             assert report.passed, (
                 f"instance {i}: log-ratio {report.max_log_ratio} over budget")

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import ppmlearn.cli as cli
+from ppmlearn.data import read_csv
 from ppmlearn.experiments import CSV_COLUMNS
 from ppmlearn.learner import BudgetExceededError, LearnDiagnostics
 from ppmlearn.model import CURATOR_ONLY, PRIVACY, RELEASE_SAFE, curator_only_fields
@@ -72,6 +73,20 @@ def test_verify_dp_pass_exit_zero(tmp_path, capsys):
     assert code == 0
     assert "PASS" in text
     assert "max log-ratio" in text
+
+
+def test_verify_dp_audits_the_class_learn_draws_from(tmp_path, capsys):
+    # without --pool-cap both commands take the per-dimension default pool
+    out = str(tmp_path)
+    run_cli(["gen", "--dim", "2", "--n", "200", "--seed", "3", "--out", out])
+    data = f"{out}/dataset.csv"
+    assert read_csv(data).n_pub > 40  # more than the d=2 default pool
+    capsys.readouterr()
+    assert run_cli(["learn", "--data", data, "--epsilon", "1.0"]) == 0
+    learned = json.loads(capsys.readouterr().out)
+    assert run_cli(["verify-dp", "--data", data, "--trials", "2"]) == 0
+    text = capsys.readouterr().out
+    assert f"class size {learned['class_size']}," in text and "PASS" in text
 
 
 def test_verify_dp_fail_exit_one(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 import ppmlearn.privacy as privacy
 from ppmlearn.data import GeneratorSpec, generate
 from ppmlearn.geometry import Halfspace
-from ppmlearn.learner import BudgetExceededError, all_mistake_counts, construct_halfspace_family
+from ppmlearn.learner import (
+    BudgetExceededError,
+    all_mistake_counts,
+    construct_halfspace_family,
+    learn_half,
+)
+from ppmlearn.mechanism import MechanismDistribution
 from ppmlearn.model import PPMDataset, partition
 from ppmlearn.privacy import (
     IllegalNeighborError,
@@ -81,6 +88,14 @@ def test_mechanism_validation():
         mechanism_distribution([1], 0.0, 5)
     with pytest.raises(ValueError):
         mechanism_distribution([1], 1.0, 0)
+
+
+def test_law_needs_one_bin_per_count():
+    # a law over n points has one bin for each count 0..n, no more, no fewer
+    for bins in (50, 10):
+        with pytest.raises(ValueError, match=rf"histogram has {bins} bins, not n \+ 1 = 11"):
+            MechanismDistribution(np.ones(bins, dtype=int), 1.0, 10)
+    assert MechanismDistribution(np.ones(11, dtype=int), 1.0, 10).histogram.size == 11
 
 
 # --- neighbors ------------------------------------------------------------------
@@ -216,10 +231,57 @@ def test_verify_dp_requires_private_entries():
         verify_dp(ds, 1.0)
 
 
-def test_verify_dp_class_guard():
-    ds = label_determined(2, 16, seed=9)
+def test_verify_dp_class_guard(monkeypatch):
+    # the audit refuses what learn_half refuses at its default budget, 5e7,
+    # and before it scores anything
+    def no_scoring(*a, **k):
+        raise AssertionError("scored before refusing")
+
+    monkeypatch.setattr(privacy, "all_mistake_counts", no_scoring)
+    ds = label_determined(2, 300, seed=9)
+    assert ds.n_pub >= 100
+    with pytest.raises(BudgetExceededError, match=r"\|G\| up to 51010051 > 50000000 from 100 "):
+        verify_dp(ds, 1.0, pool_cap=100)
     with pytest.raises(BudgetExceededError, match="reduce pool_cap"):
-        verify_dp(ds, 1.0, class_limit=10)
+        verify_dp(ds, 1.0)  # uncapped
+
+
+def test_verify_dp_at_the_learners_size():
+    # a class of 7.1M members, the size learn_half runs at: the audit
+    # passes and holds at most twice the memory learn_half does
+    spec = GeneratorSpec(dim=3, target=Halfspace(np.ones(3), 0.1), label_noise=0.05, seed=3)
+    ds = generate(spec, 300)
+    tracemalloc.start()
+    try:
+        learn_half(ds, 1.0, pool_cap=10, seed=1)
+        learn_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report = verify_dp(ds, 1.0, pool_cap=10, trials=3, seed=1)
+        audit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.class_size == 7_146_126
+    assert report.passed
+    assert audit_peak <= 2 * learn_peak, (audit_peak, learn_peak)
+
+
+def test_verify_dp_keys_past_uint16_match_the_oracle():
+    # at n = 22,000 a key 3c + s passes 2^16 - 1: the audit widens the keys
+    # rather than wrap them, and every ratio stays bit-identical
+    n = 22_000
+    ds = generate(GeneratorSpec(dim=1, target=Halfspace([1.0], 0.1), seed=2), n)
+    report = verify_dp(ds, [1.0], trials=3, seed=5)
+    fam = construct_halfspace_family(partition(ds)[0], 1)
+    base = all_mistake_counts(fam, partition(ds)[2], 1)
+    assert base.dtype == np.uint16 and 3 * int(base.max()) >= 1 << 16
+    rng = np.random.default_rng(5)
+    priv_idx = np.flatnonzero(ds.p)
+    for trial in report.trials:
+        idx = int(rng.choice(priv_idx))
+        nb = replace_entry(ds, idx, rng.standard_normal(1), int(rng.integers(0, 2)))
+        nb_counts = all_mistake_counts(fam, partition(nb)[2], 1)
+        assert trial.index == idx
+        assert trial.max_log_ratio == audit_ratio_oracle(base, nb_counts, 1.0, n)
 
 
 def test_verify_dp_refuses_an_audit_that_checks_nothing(monkeypatch):
