@@ -28,6 +28,7 @@ from .data import GeneratorSpec, generate, generate_holdout
 from .erm import erm_halfspace
 from .geometry import Halfspace
 from .learner import hypothesis_error, learn_half, resolve_pool_cap
+from .mechanism import check_epsilon
 from .model import partition
 
 
@@ -48,7 +49,7 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "epsilon_grid",
-                           tuple(float(e) for e in self.epsilon_grid))
+                           tuple(check_epsilon(e) for e in self.epsilon_grid))
         if not self.n_grid or not self.epsilon_grid:
             raise ValueError("grid must be non-empty")
         if self.trials < 1:

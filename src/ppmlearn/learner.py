@@ -22,12 +22,23 @@ F^2 * n / 2. Every value formed is an integer of magnitude at most 4n;
 the products run in float32, exact while 4n <= 2^24, and in float64
 beyond. Counts are stored as uint16 while n < 65,536 and as uint32
 beyond.
+
+A scoring pass whose pair Gram takes at least ``_THREAD_MIN_MADDS``
+multiply-adds runs the membership chunks and the Gram strips on every CPU
+the process may use: a thread pool lives for that pass alone, and the
+calling thread takes a share of the work. No chunk or strip boundary moves,
+so every product is the same call as on one thread, and the counts are
+bit-identical either way. Smaller passes, and every d = 1 pass, run on the
+calling thread and start no thread.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,7 +57,7 @@ from .geometry import (
     point_tolerances,
     supporting_hyperplanes,
 )
-from .mechanism import mechanism_distribution
+from .mechanism import check_epsilon, mechanism_distribution
 from .model import (
     EmptySampleError,
     ErrorCount,
@@ -59,6 +70,13 @@ from .model import (
 
 DEFAULT_HYPOTHESIS_BUDGET = 50_000_000
 _FLOAT32_EXACT = 1 << 24       # largest integer count float32 holds exactly
+# Multiply-adds of a pair Gram, lines^2 * points / 2, from which scoring
+# runs on threads: a product of ~19 ms on one core, where the strips that
+# overlap save several times the pool's fixed cost of about 1 ms. A d = 2
+# pass over 820 lines and 8000 points (2.7e9) is above it; one over 600
+# points (2.0e8), which a pool slowed, and the audit's swap samples are
+# below.
+_THREAD_MIN_MADDS = 1_000_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -291,7 +309,58 @@ def hypothesis_error(g: IntersectionHypothesis, family: HalfspaceFamily,
 # ---------------------------------------------------------------------------
 
 
-def _membership(family: HalfspaceFamily, X: np.ndarray, dtype):
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _chunk_lines(n: int) -> int:
+    """Lines per ``_membership`` chunk over n points."""
+    return max(1, _CHUNK_ENTRIES // 8 // max(n, 1))
+
+
+def _strip_lines(L: int) -> int:
+    """Lines per Gram strip over L lines (``_tuple_blocks``)."""
+    return max(1, _CHUNK_ENTRIES // (2 * L))
+
+
+def _threaded(L: int, n: int) -> bool:
+    """Whether a pair Gram over L lines and n points runs on threads."""
+    return L * L * n >= 2 * _THREAD_MIN_MADDS
+
+
+def _workers(pool) -> int:
+    """Threads that share the work: the pool's and the calling one."""
+    return 1 if pool is None else pool._max_workers + 1
+
+
+def _ordered_map(fn, items, pool):
+    """``fn`` over ``items``, results yielded in order: ``map`` without a
+    pool. With one, the items go in rounds of one per pool thread plus one
+    that the calling thread computes itself, so at most a round of results,
+    one per worker, is alive at once. Every future's result is read; on an
+    early close the round's tasks not yet started are cancelled and the
+    running ones waited for."""
+    if pool is None:
+        yield from map(fn, items)
+        return
+    items = iter(items)
+    while batch := list(itertools.islice(items, _workers(pool))):
+        futures = collections.deque(pool.submit(fn, item) for item in batch[1:])
+        try:
+            yield fn(batch[0])
+            while futures:
+                yield futures.popleft().result()
+        finally:
+            for future in futures:
+                if not future.cancel():
+                    future.result()
+
+
+def _membership(family: HalfspaceFamily, X: np.ndarray, dtype, pool=None):
     """Membership at d >= 2 of points X, all in the public span, lines by
     points.
 
@@ -308,6 +377,9 @@ def _membership(family: HalfspaceFamily, X: np.ndarray, dtype):
     passes over it: s >= -tol gives Z's rows and s > tol the points
     strictly inside, so a held point not strictly inside is on the line.
     The few on-line pairs are kept as indices, never as an (L, n) mask.
+    Given a ``pool``, the chunks are split into one run of consecutive
+    chunks per worker (``_ordered_map``); each run writes its own rows of
+    Z, and the on-line indices are gathered in chunk order.
     d = 1 counts thresholds instead (``_threshold_excess``).
     """
     W, w0 = family.line_planes
@@ -315,16 +387,27 @@ def _membership(family: HalfspaceFamily, X: np.ndarray, dtype):
     floor = -tol
     n = X.shape[0]
     Z = np.empty((w0.size, n), dtype=dtype)
-    on_line = []  # flat (line, point) indices, line-major
-    step = max(1, _CHUNK_ENTRIES // 8 // max(n, 1))
-    for lo in range(0, w0.size, step):
-        signed = W[lo:lo + step] @ X.T
-        signed -= w0[lo:lo + step, None]
-        held = np.greater_equal(signed, floor)
-        Z[lo:lo + step] = held
-        on = np.greater(signed, tol)
-        np.greater(held, on, out=on)  # held and not strictly inside
-        on_line.append(np.flatnonzero(on) + lo * n)
+    step = _chunk_lines(n)
+
+    def chunks(los):
+        on_line = []  # flat (line, point) indices, line-major
+        for lo in los:
+            signed = W[lo:lo + step] @ X.T
+            signed -= w0[lo:lo + step, None]
+            held = np.greater_equal(signed, floor)
+            Z[lo:lo + step] = held
+            on = np.greater(signed, tol)
+            np.greater(held, on, out=on)  # held and not strictly inside
+            on_line.append(np.flatnonzero(on) + lo * n)
+        return on_line
+
+    los = range(0, w0.size, step)
+    if pool is None:
+        on_line = chunks(los)
+    else:  # one run of consecutive chunks per worker
+        per = -(-len(los) // _workers(pool))
+        runs = [los[i:i + per] for i in range(0, len(los), per)]
+        on_line = [idx for run in _ordered_map(chunks, runs, pool) for idx in run]
     line, point = np.divmod(np.concatenate(on_line), n)
     pts = np.flatnonzero(np.bincount(point, minlength=n))
     E = np.zeros((w0.size, pts.size), dtype=dtype)
@@ -402,7 +485,7 @@ def _label_operand(Z):
     return wide
 
 
-def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles):
+def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles, pool=None):
     """Mistake counts, offset by ``base``, over the points of ``Z`` (lines
     by points; columns: the n1 1-labels, then the 0-labels): of every
     member from ``start`` on if ``singles``, then of every pair of them
@@ -436,7 +519,11 @@ def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles):
     most 2k + 2. The four blocks are interleaved by slot, at most
     ``_CHUNK_ENTRIES`` entries at a time, and the member slots i < j kept.
     Every partial sum is an integer of magnitude at most 4n, exact in
-    ``Z``'s dtype (``_score_blocks``).
+    ``Z``'s dtype (``_score_blocks``), so G is the same in any order of
+    summation. Given a ``pool``, the strips are formed on it
+    (``_ordered_map``) when this call's L^2 n / 2 multiply-adds reach
+    ``_THREAD_MIN_MADDS``; the blocks are assembled and yielded on the
+    calling thread, in rank order.
     """
     L, n = Z.shape
     k = pts.size
@@ -463,9 +550,10 @@ def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles):
     plus, minus, on, cols = left[:k + 2], left[k + 2:], right[:k + 2], right[k + 2:]
     # a row slot outside the members from ``start`` on keeps no column
     row_member = np.where(slots < start, start + slots.size, slots)
-    strip = max(1, _CHUNK_ENTRIES // (2 * L))
+    strip = _strip_lines(L)
     rows = max(1, _CHUNK_ENTRIES // (4 * L))
-    for a in range(0, L, strip):
+
+    def gram(a):
         b = min(L, a + strip)
         G = np.empty((b - a, L - a), dtype=Z.dtype)
         block = G[:, :b - a]
@@ -475,6 +563,13 @@ def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles):
             block = G[:, b - a:]
             np.matmul(Z1[a:b], Z1[b:].T, out=block)
             block -= Z0[a:b] @ Z0[b:].T
+        return G
+
+    if not _threaded(L, n):
+        pool = None
+    starts = range(0, L, strip)
+    for a, G in zip(starts, _ordered_map(gram, starts, pool)):
+        b = a + G.shape[0]
         for c in range(a, b, rows):
             e = min(b, c + rows)
             g = G[c - a:e - a, c - a:]
@@ -505,6 +600,14 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     label over those points then scores every choice of the last two.
     Pairs cost (F/2)^2 * n / 2 multiply-adds, done as syrk. Counts at
     d >= 2 come as floats holding exact integers.
+
+    When the pairs' Gram over all lines and points reaches
+    ``_THREAD_MIN_MADDS``, the pass opens a thread pool for its own
+    lifetime: one worker per CPU in the process's affinity set, capped by
+    the membership chunks or Gram strips there are to share, the calling
+    thread being one of them. The membership and every ``_tuple_blocks``
+    call get it; a tuple call over few points keeps to the calling thread
+    by its own check. Closing the generator early shuts the pool down.
     """
     zero = sample.y == 0
     n0 = int(np.count_nonzero(zero))
@@ -518,35 +621,43 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     # points off the public span are in no member and only add to n0
     span = family.aff.contains_many(sample.X)
     X1 = sample.X[span & ~zero]
-    # the GEMMs and the sums after them form integers of magnitude at most
-    # 4n, exact in float32 while 4n <= 2^24
-    wide = 4 * sample.n > _FLOAT32_EXACT
-    Z, pts, E = _membership(family, np.concatenate([X1, sample.X[span & zero]]),
-                            np.float64 if wide else np.float32)
+    X = np.concatenate([X1, sample.X[span & zero]])
     n1 = X1.shape[0]
     line, sign = family.line, family.sign
-    rank = 1
-    for size in range(2, dim + 1):
-        for prefix in itertools.combinations(range(F - 2), size - 2):
-            start = prefix[-1] + 1 if prefix else 0
-            part = Z, n1, pts, E
-            if prefix:
-                inside = np.ones(Z.shape[1], dtype=bool)
-                for p in prefix:
-                    held = Z[line[p]] > 0
-                    if sign[p]:
-                        held = ~held
-                        held[pts[E[line[p]] > 0]] = True
-                    inside &= held
-                keep = np.flatnonzero(inside)
-                on = inside[pts]
-                l0 = line[start]
-                part = (Z[l0:, keep], int(np.searchsorted(keep, n1)),
-                        np.searchsorted(keep, pts[on]), E[l0:, on])
-            for counts in _tuple_blocks(*part, family.slots[2 * line[start]:], start,
-                                        n0, singles=not prefix):
-                yield rank, counts
-                rank += counts.size
+    L, n = int(line[-1]) + 1, X.shape[0]
+    opened = contextlib.nullcontext()
+    if _threaded(L, n):
+        workers = min(_cpus(), max(-(-L // _chunk_lines(n)), -(-L // _strip_lines(L))))
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # a 6 ms import, paid here only
+            opened = ThreadPoolExecutor(workers - 1, thread_name_prefix="ppmlearn-score")
+    with opened as pool:
+        # the GEMMs and the sums after them form integers of magnitude at
+        # most 4n, exact in float32 while 4n <= 2^24
+        wide = 4 * sample.n > _FLOAT32_EXACT
+        Z, pts, E = _membership(family, X, np.float64 if wide else np.float32, pool)
+        rank = 1
+        for size in range(2, dim + 1):
+            for prefix in itertools.combinations(range(F - 2), size - 2):
+                start = prefix[-1] + 1 if prefix else 0
+                part = Z, n1, pts, E
+                if prefix:
+                    inside = np.ones(n, dtype=bool)
+                    for p in prefix:
+                        held = Z[line[p]] > 0
+                        if sign[p]:
+                            held = ~held
+                            held[pts[E[line[p]] > 0]] = True
+                        inside &= held
+                    keep = np.flatnonzero(inside)
+                    on = inside[pts]
+                    l0 = line[start]
+                    part = (Z[l0:, keep], int(np.searchsorted(keep, n1)),
+                            np.searchsorted(keep, pts[on]), E[l0:, on])
+                for counts in _tuple_blocks(*part, family.slots[2 * line[start]:], start,
+                                            n0, not prefix, pool):
+                    yield rank, counts
+                    rank += counts.size
 
 
 def all_mistake_counts(family: HalfspaceFamily, sample: LabeledSample, dim: int) -> np.ndarray:
@@ -669,8 +780,7 @@ def learn_half(dataset: PPMDataset, epsilon: float, pool_cap: int | None = None,
     The draw comes from the same ``MechanismDistribution`` that
     ``verify_dp`` audits.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     notes = []
     if epsilon > 1:
         msg = f"epsilon {epsilon} outside (0, 1]; guarantees degrade"

@@ -15,6 +15,15 @@ import numpy as np
 from .geometry import _CHUNK_ENTRIES
 
 
+def check_epsilon(epsilon) -> float:
+    """epsilon as a float, refused unless positive and finite: nan or inf
+    would make the law's normalizer nan."""
+    eps = float(epsilon)
+    if not 0 < eps < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    return eps
+
+
 @dataclass(frozen=True, eq=False)
 class MechanismDistribution:
     """Exact selection law of the exponential mechanism over the class.
@@ -35,8 +44,7 @@ class MechanismDistribution:
     log_normalizer: float = field(init=False)  # log sum of exp(-eps*(c - min)/2)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(self.epsilon)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         hist = np.array(self.histogram, dtype=np.int64)
@@ -84,13 +92,18 @@ class MechanismDistribution:
 
 
 def bin_counts(values: np.ndarray, bins: int, name: str = "mistake count",
-               last: str = "n") -> np.ndarray:
-    """Histogram of the non-negative integers ``values`` over range(bins),
-    in chunks: bincount converts to intp, so it never runs on a full copy.
-    A value past the last bin is refused; ``name`` and ``last`` word the error."""
+               last: str = "n", plus: np.ndarray | None = None) -> np.ndarray:
+    """Histogram of the non-negative integers ``values``, or of
+    ``values + plus`` when ``plus`` is given, over range(bins), in chunks:
+    bincount converts to intp and the sum is formed one chunk at a time, so
+    neither runs on a full copy. A value past the last bin is refused;
+    ``name`` and ``last`` word the error."""
     hist = np.zeros(bins, dtype=np.intp)
     for lo in range(0, values.size, _CHUNK_ENTRIES):
-        part = np.bincount(values[lo:lo + _CHUNK_ENTRIES], minlength=bins)
+        part = values[lo:lo + _CHUNK_ENTRIES]
+        if plus is not None:
+            part = part + plus[lo:lo + _CHUNK_ENTRIES]
+        part = np.bincount(part, minlength=bins)
         if part.size > bins:
             raise ValueError(f"{name} {part.size - 1} above {last} = {bins - 1}")
         hist += part

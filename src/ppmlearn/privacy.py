@@ -21,7 +21,7 @@ import numpy as np
 
 from .learner import (DEFAULT_HYPOTHESIS_BUDGET, all_mistake_counts, check_pool_budget,
                       construct_halfspace_family)
-from .mechanism import MechanismDistribution, bin_counts, mechanism_distribution
+from .mechanism import MechanismDistribution, bin_counts, check_epsilon
 from .model import LabeledSample, PPMDataset, curator_only, partition, release_safe
 
 RATIO_SLACK = 1e-9
@@ -97,14 +97,14 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     neighbor, where s in {0, 1, 2} counts its mistakes on the flipped old
     entry and the new one. Both laws, and so the ratio at h, depend on h
     only through (c, s): each trial bins the class once by 3c + s and
-    evaluates the ratio once per pair that occurs. The keys 3c + s are
-    formed in place in the counts' uint16 while 3n + 2 < 2^16 (uint32
-    beyond); in uint16 a trial holds two vectors of class length, the
-    scaled base counts and its own keys.
+    evaluates the ratio once per pair that occurs. The base counts are
+    scaled to 3c once, in place in their uint16 while 3n + 2 < 2^16
+    (uint32 beyond), and a trial adds its swap counts s one histogram
+    chunk at a time, so it holds two vectors of class length, the scaled
+    base counts and its swap counts. The base counts are binned once for
+    every epsilon.
     """
-    epsilons = tuple(float(e) for e in (epsilon if np.iterable(epsilon) else [epsilon]))
-    if any(e <= 0 for e in epsilons):
-        raise ValueError("epsilon must be positive")
+    epsilons = tuple(check_epsilon(e) for e in (epsilon if np.iterable(epsilon) else [epsilon]))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     priv_idx = np.flatnonzero(dataset.p)
@@ -116,7 +116,8 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
 
     n = dataset.n
     base = all_mistake_counts(family, s_prime, dataset.dim)
-    base_dists = {eps: mechanism_distribution(base, eps, n) for eps in epsilons}
+    base_hist = bin_counts(base, n + 1)
+    base_dists = {eps: MechanismDistribution(base_hist, eps, n) for eps in epsilons}
     # from here on base holds 3c, in place while 3c + s <= 3n + 2 fits uint16
     base = base.astype(np.uint16 if 3 * n + 2 < 1 << 16 else np.uint32, copy=False)
     base *= 3
@@ -130,10 +131,9 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
         # so dropping the old entry adds its flipped mistakes minus one
         swap = LabeledSample(np.vstack([dataset.X[idx], x_new]),
                              [1 - int(dataset.y[idx]), y_new], [idx, idx])
-        keys = all_mistake_counts(family, swap, dataset.dim).astype(base.dtype, copy=False)
-        keys += base
-        pairs = bin_counts(keys, 3 * (n + 1), "3c + s", "3n + 2")
-        del keys  # released before the next trial scores its swap
+        # the swap counts are released before the next trial scores its swap
+        pairs = bin_counts(base, 3 * (n + 1), "3c + s", "3n + 2",
+                           plus=all_mistake_counts(family, swap, dataset.dim))
         neighbor_hist = _neighbor_histogram(pairs.reshape(n + 1, 3))
         c, s = np.divmod(np.flatnonzero(pairs), 3)
         for eps in epsilons:

@@ -256,6 +256,18 @@ def test_verify_dp_zero_trials_exit_two(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["learn", "verify-dp"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_non_finite_epsilon_exit_two(tmp_path, capsys, command, eps):
+    out = str(tmp_path)
+    run_cli(["gen", "--dim", "1", "--n", "14", "--seed", "5", "--out", out])
+    capsys.readouterr()
+    assert run_cli([command, "--data", f"{out}/dataset.csv", "--epsilon", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: epsilon must be positive and finite, got {eps}\n"
+    assert captured.out == ""
+
+
 def test_gen_with_explicit_target(tmp_path, capsys):
     out = str(tmp_path)
     assert run_cli(["gen", "--dim", "2", "--n", "30", "--target", "1,0:0.5",

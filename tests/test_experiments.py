@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="pool_cap must be >= 0"):
         SweepConfig(generator=gen, n_grid=(10,), epsilon_grid=(1.0,), holdout=1000,
                     pool_cap=-3)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            SweepConfig(generator=gen, n_grid=(10,), epsilon_grid=(1.0, eps), holdout=1000)
 
 
 def test_config_dict_round_trip():

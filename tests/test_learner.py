@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -395,9 +398,9 @@ def test_counts_switch_to_float64_past_the_float32_limit(monkeypatch):
     dtypes = []
     real = learner._membership
 
-    def spy(family, X, dtype):
+    def spy(family, X, dtype, pool=None):
         dtypes.append(dtype)
-        return real(family, X, dtype)
+        return real(family, X, dtype, pool)
 
     monkeypatch.setattr(learner, "_membership", spy)
     for dim, n, seed in [(2, 12, 1), (3, 9, 2)]:
@@ -489,6 +492,114 @@ def test_line_scorer_agrees_across_chunks(dim, monkeypatch):
         assert_counts_match_naive(fam, sample, dim)
         strips.append(-(-lines // 3))
     assert max(strips) >= 4
+
+
+def _counting_executor(monkeypatch, opened):
+    """Record the worker count of every pool the scorer opens."""
+    real = futures.ThreadPoolExecutor
+
+    def executor(workers, **kwargs):
+        opened.append(workers)
+        return real(workers, **kwargs)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", executor)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_threaded_scoring_matches_the_sequential_path(dim, monkeypatch):
+    # every d >= 2 call on a pool with more workers than cores, one line
+    # per strip and per membership chunk, and a thread switch every 10 us:
+    # the counts equal the sequential path's and scoring each hypothesis
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)
+    cases = [_line_family(points, dim, seed)
+             for points in (_lines_grid, _lines_generator) for seed in range(2)]
+    expected = []
+    for fam, sample in cases:
+        expected.append(all_mistake_counts(fam, sample, dim).tolist())
+        assert expected[-1] == [hypothesis_error(g, fam, sample).mistakes
+                                for g in class_oracle(fam, dim)]
+    opened = []
+    _counting_executor(monkeypatch, opened)
+    monkeypatch.setattr(learner, "_THREAD_MIN_MADDS", 0)
+    monkeypatch.setattr(learner, "_cpus", lambda: 64)
+    got = []
+
+    def score():
+        for _ in range(3):
+            got.append([all_mistake_counts(fam, sample, dim).tolist() for fam, sample in cases])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker = threading.Thread(target=score, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert got == [expected] * 3
+    # a task per line, 12 to 21 lines: 11 to 20 pool threads next to the
+    # calling one, more than the cores of a CI runner
+    assert len(opened) == 3 * len(cases) and min(opened) >= 11
+
+
+def test_scoring_opens_a_pool_from_the_gate_on(monkeypatch):
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)  # a task per line
+    monkeypatch.setattr(learner, "_cpus", lambda: 2)
+    fam, sample = _line_family(_lines_generator, 2, 0)
+    lines, points = fam.slots.size // 2, sample.n  # every point is in the span
+    for gate, pools in [(lines * lines * points / 2, 1), (lines * lines * points / 2 + 1, 0)]:
+        monkeypatch.setattr(learner, "_THREAD_MIN_MADDS", gate)
+        opened = []
+        _counting_executor(monkeypatch, opened)
+        all_mistake_counts(fam, sample, 2)
+        assert opened == [1] * pools  # one pool thread next to the calling one
+
+
+def test_audit_size_scoring_opens_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("opened a pool below the gate")
+
+    # tasks to share and cores to share them on: only the gate keeps the
+    # pool closed
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(learner, "_cpus", lambda: 2)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", refuse)
+    for dim, n in [(2, 24), (3, 14)]:
+        ds = label_determined_dataset(dim, n, seed=7, eta=0.2)
+        assert privacy.verify_dp(ds, [0.1, 1.0], trials=5, seed=0).passed
+        learn_half(ds, 1.0, seed=0)
+
+
+def test_closing_the_scorer_early_shuts_its_pool_down(monkeypatch):
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(learner, "_THREAD_MIN_MADDS", 0)
+    monkeypatch.setattr(learner, "_cpus", lambda: 3)
+
+    def pool_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("ppmlearn-score")]
+
+    fam, sample = _line_family(_lines_generator, 2, 0)
+    blocks = learner._score_blocks(fam, sample, 2)
+    for _ in range(4):  # the empty region, the singles, two pair blocks
+        next(blocks)
+    assert pool_threads()
+    blocks.close()
+    assert not pool_threads()
+
+
+def test_ordered_map_keeps_order_and_raises_a_task_error():
+    def square_below_7(i):
+        if i == 7:
+            raise KeyError(i)
+        return i * i
+
+    with futures.ThreadPoolExecutor(2) as pool:
+        for workers in (None, pool):
+            assert list(learner._ordered_map(square_below_7, range(7), workers)) == [
+                i * i for i in range(7)]
+            with pytest.raises(KeyError):
+                list(learner._ordered_map(square_below_7, range(12), workers))
 
 
 def _few_per_label(rng, dim, n1, n0):
@@ -1065,8 +1176,9 @@ def test_learn_half_large_epsilon_hits_minimizer():
 
 def test_learn_half_epsilon_validation():
     ds = label_determined_dataset(1, 10, seed=32)
-    with pytest.raises(ValueError):
-        learn_half(ds, 0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            learn_half(ds, eps)
 
 
 def test_learn_half_budget_guard():
@@ -1140,7 +1252,6 @@ def test_learn_half_selection_frequencies_match_exact_distribution():
 
 def test_learn_half_draws_from_the_audited_distribution(monkeypatch):
     assert privacy.MechanismDistribution is mechanism.MechanismDistribution
-    assert privacy.mechanism_distribution is mechanism.mechanism_distribution
     assert learner.mechanism_distribution is mechanism.mechanism_distribution
     ds = label_determined_dataset(2, 14, seed=34, eta=0.2)
     res = learn_half(ds, 0.5, seed=3)

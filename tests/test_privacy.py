@@ -13,11 +13,10 @@ from ppmlearn.learner import (
     construct_halfspace_family,
     learn_half,
 )
-from ppmlearn.mechanism import MechanismDistribution
+from ppmlearn.mechanism import MechanismDistribution, mechanism_distribution
 from ppmlearn.model import PPMDataset, partition
 from ppmlearn.privacy import (
     IllegalNeighborError,
-    mechanism_distribution,
     replace_entry,
     verify_dp,
 )
@@ -84,8 +83,11 @@ def test_mechanism_monotone_in_mistakes():
 def test_mechanism_validation():
     with pytest.raises(ValueError):
         mechanism_distribution([], 1.0, 5)
-    with pytest.raises(ValueError):
-        mechanism_distribution([1], 0.0, 5)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            mechanism_distribution([1], eps, 5)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            MechanismDistribution([0, 1, 0, 0, 0, 0], eps, 5)
     with pytest.raises(ValueError):
         mechanism_distribution([1], 1.0, 0)
 
@@ -172,7 +174,7 @@ def test_neighbor_counts_do_not_wrap_below_zero(monkeypatch):
 
     monkeypatch.setattr(privacy, "MechanismDistribution", spy)
     assert verify_dp(ds, [0.5], trials=6, seed=1).passed
-    assert len(seen) == 6
+    assert len(seen) == 1 + 6  # the base law, then one neighbour law per trial
     for hist in seen:
         assert hist.dtype.kind == "i" and hist.shape == (ds.n + 1,)
         assert hist.min() >= 0 and hist.sum() == base.size
@@ -293,3 +295,6 @@ def test_verify_dp_refuses_an_audit_that_checks_nothing(monkeypatch):
     for trials in (0, -2):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_dp(ds, 1.0, trials=trials)
+    for eps in (math.nan, math.inf, [0.5, math.nan]):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            verify_dp(ds, eps)
