@@ -11,9 +11,9 @@ is ``erm.erm_halfspace``.
 Scoring never leaves integer arithmetic. At d = 1 every member is a
 threshold: one sort of the sample and two binary searches per member count
 the points on each side, and only the points near a threshold are tested
-one by one, O((F + n) log n). At d >= 2 the members come in lines
-(``HalfspaceFamily.line``), a line's plus orientation and its exact
-negation (``sign`` 0 and 1). Membership is taken once per line, as a
+one by one, O((F + n) log n). At d >= 2 the members come in lines:
+member 2l is line l's plus orientation and member 2l + 1 its exact
+negation (``HalfspaceFamily``). Membership is taken once per line, as a
 matrix of lines by points with the 1-labels first, and the counts
 of both orientations follow by inclusion-exclusion from one symmetric
 product per label (numpy runs them as syrk) and small products over the
@@ -24,24 +24,23 @@ beyond. Counts are stored as uint16 while n < 65,536 and as uint32
 beyond.
 
 A scoring pass whose pair Gram takes at least ``_THREAD_MIN_MADDS``
-multiply-adds runs the membership chunks and the Gram strips on every CPU
-the process may use: a thread pool lives for that pass alone, and the
-calling thread takes a share of the work. No chunk or strip boundary moves,
-so every product is the same call as on one thread, and the counts are
-bit-identical either way. Smaller passes, and every d = 1 pass, run on the
-calling thread and start no thread.
+multiply-adds runs on every CPU the process may use, on a thread pool that
+lives for that pass alone (``_fork_join``): the CPUs share the membership's
+chunks of lines, and each Gram strip is the sum of one partial product per
+CPU over an equal share of the points. Every sum is an exact integer, so
+the counts are bit-identical either way. Smaller passes, and every d = 1
+pass, run on the calling thread and start no thread.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -142,16 +141,12 @@ class HalfspaceFamily:
 
     Member i is {x : W[i] . x >= w0[i]}, with a unit normal, and is
     supported by the public entries ``sources[i]``: dataset indices,
-    padded with -1 to ``dim`` columns. Member i lies on line ``line[i]``,
-    numbered 0, 1, ... in member order: a member that is the exact
-    negation of the member before it, unless that one already closes a
-    line, is the second orientation of that member's line (``sign`` 1);
-    every other member opens a line (``sign`` 0).
-    ``construct_halfspace_family`` emits each line as rows 2k and 2k+1;
-    a family given one orientation of some lines has lines of one member.
-    The arrays are read-only. Construction reads only public examples:
-    two datasets with identical public parts produce bit-identical
-    families.
+    padded with -1 to ``dim`` columns. The members come in lines: line l
+    is member 2l, its plus orientation, and member 2l + 1, the exact
+    negation of member 2l, as ``construct_halfspace_family`` emits them.
+    A family of any other shape is refused. The arrays are read-only.
+    Construction reads only public examples: two datasets with identical
+    public parts produce bit-identical families.
     """
 
     W: np.ndarray
@@ -160,51 +155,27 @@ class HalfspaceFamily:
     aff: AffineSubspace
     pool_indices: tuple[int, ...]
     dim: int
-    line: np.ndarray = field(init=False)
-    sign: np.ndarray = field(init=False)
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float).reshape(-1, self.dim)
         w0 = np.array(self.w0, dtype=float).reshape(-1)
         sources = np.array(self.sources, dtype=np.int64).reshape(-1, self.dim)
-        F = w0.size
-        if not W.shape[0] == F == sources.shape[0]:
+        if not W.shape[0] == w0.size == sources.shape[0]:
             raise ValueError("W, w0 and sources must have one row per member")
         # the d = 1 scorer's band (``_threshold_excess``) rests on unit normals
         if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1.0) <= 1e-12):
             raise ValueError("member normals must be unit vectors")
-        # the d >= 2 scorer derives a line's second orientation from its
-        # first, so only exact negations pair up; in a run of them (repeated
-        # members) every other one closes a line
-        negates = np.zeros(F, dtype=bool)
-        negates[1:] = np.all(W[1:] == -W[:-1], axis=1) & (w0[1:] == -w0[:-1])
-        i = np.arange(F)
-        opener = np.maximum.accumulate(np.where(negates, 0, i))  # the run's first member
-        sign = (negates & ((i - opener) % 2 == 1)).astype(np.int64)
-        line = np.cumsum(1 - sign) - 1
-        for name, arr in (("W", W), ("w0", w0), ("sources", sources),
-                          ("line", line), ("sign", sign)):
+        # the d >= 2 scorer derives a line's minus orientation from its plus
+        if w0.size % 2 or not (np.array_equal(W[1::2], -W[::2])
+                               and np.array_equal(w0[1::2], -w0[::2])):
+            raise ValueError("members must come in pairs 2l, 2l + 1 of exact negations")
+        for name, arr in (("W", W), ("w0", w0), ("sources", sources)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
         return self.w0.size
-
-    @cached_property
-    def line_planes(self):
-        """(W, w0) of the first member of every line, one row per line."""
-        first = self.sign == 0
-        return self.W[first], self.w0[first]
-
-    @cached_property
-    def slots(self) -> np.ndarray:
-        """Member index of each orientation slot 2 * line + sign, -1 where
-        a line lacks that orientation."""
-        slots = np.full(2 * (int(self.line[-1]) + 1 if self.size else 0), -1, dtype=np.int32)
-        slots[2 * self.line + self.sign] = np.arange(self.size)
-        slots.flags.writeable = False
-        return slots
 
 
 @dataclass(frozen=True)
@@ -245,12 +216,12 @@ def construct_halfspace_family(S_pub: LabeledSample, dim: int,
     Subsets come smaller sizes first and lexicographic within a size; each
     contributes its supported halfspace, then the opposite one, and
     near-duplicate rows are dropped, the first occurrence kept. A row and
-    its exact negation are kept or dropped together and make up one line
-    (``HalfspaceFamily.line``). Only the
-    first ``pool_cap`` public points (dataset order) feed the construction
-    when a cap is given; a cap below 1 is refused, and None means uncapped.
-    An empty public sample yields an empty family with a sentinel
-    full-space span.
+    its exact negation are kept or dropped together, so line l stays
+    members 2l and 2l + 1 (``HalfspaceFamily``). Only the first
+    ``pool_cap`` public points (dataset order) feed the construction when
+    a cap is given; a cap below 1 is refused, and None means uncapped. An
+    empty public sample yields an empty family with a sentinel full-space
+    span.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -332,57 +303,41 @@ def _threaded(L: int, n: int) -> bool:
     return L * L * n >= 2 * _THREAD_MIN_MADDS
 
 
-def _workers(pool) -> int:
-    """Threads that share the work: the pool's and the calling one."""
-    return 1 if pool is None else pool._max_workers + 1
-
-
-def _ordered_map(fn, items, pool):
-    """``fn`` over ``items``, results yielded in order: ``map`` without a
-    pool. With one, the items go in rounds of one per pool thread plus one
-    that the calling thread computes itself, so at most a round of results,
-    one per worker, is alive at once. Every future's result is read; on an
-    early close the round's tasks not yet started are cancelled and the
-    running ones waited for."""
-    if pool is None:
-        yield from map(fn, items)
-        return
-    items = iter(items)
-    while batch := list(itertools.islice(items, _workers(pool))):
-        futures = collections.deque(pool.submit(fn, item) for item in batch[1:])
-        try:
-            yield fn(batch[0])
-            while futures:
-                yield futures.popleft().result()
-        finally:
-            for future in futures:
-                if not future.cancel():
-                    future.result()
+def _fork_join(fn, items, pool):
+    """``[fn(item) for item in items]``, one item per worker: the pool
+    runs every item but the first while the calling thread computes that
+    one. Every task has ended when this returns or raises; the first
+    error in item order is raised."""
+    futures = [pool.submit(fn, item) for item in items[1:]]
+    try:
+        return [fn(items[0])] + [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.exception()  # waits for the task; a later error is dropped
 
 
 def _membership(family: HalfspaceFamily, X: np.ndarray, dtype, pool=None):
     """Membership at d >= 2 of points X, all in the public span, lines by
     points.
 
-    One signed value s = W . x - w0 per (line, point), for the first
-    member (W, w0) of the line, its plus orientation
-    (``HalfspaceFamily.line_planes``). It holds x when s >= -tol,
-    tol = MEM_TOL * (1 + |x|), and the minus orientation, its exact
-    negation, holds x when s <= tol: the test that ``predict_many`` makes.
-    Returns the (L, n) 0/1 matrix Z of the plus orientations and the
-    points on some line, which both orientations of that line hold: their
-    indices, ascending, and their (L, k) 0/1 on-line columns E. One
-    product W[lo:hi] @ X.T per chunk of lines, sized so that s stays in
-    L2 (``_CHUNK_ENTRIES / 8`` float64 entries), and two comparison
-    passes over it: s >= -tol gives Z's rows and s > tol the points
-    strictly inside, so a held point not strictly inside is on the line.
-    The few on-line pairs are kept as indices, never as an (L, n) mask.
-    Given a ``pool``, the chunks are split into one run of consecutive
-    chunks per worker (``_ordered_map``); each run writes its own rows of
-    Z, and the on-line indices are gathered in chunk order.
+    One signed value s = W . x - w0 per (line, point), for the line's plus
+    orientation (W, w0), member 2l. It holds x when s >= -tol,
+    tol = MEM_TOL * (1 + |x|), and the minus orientation, member 2l + 1,
+    its exact negation, holds x when s <= tol: the test that
+    ``predict_many`` makes. Returns the (L, n) 0/1 matrix Z of the plus
+    orientations and the points on some line, which both orientations of
+    that line hold: their indices, ascending, and their (L, k) 0/1 on-line
+    columns E. One product W[lo:hi] @ X.T per chunk of lines, sized so
+    that s stays in L2 (``_CHUNK_ENTRIES / 8`` float64 entries), and two
+    comparison passes over it: s >= -tol gives Z's rows and s > tol the
+    points strictly inside, so a held point not strictly inside is on the
+    line. The few on-line pairs are kept as indices, never as an (L, n)
+    mask. Given a ``pool``, the chunks are split into one run of
+    consecutive chunks per CPU (``_fork_join``); each run writes its own
+    rows of Z, and the on-line indices are gathered in chunk order.
     d = 1 counts thresholds instead (``_threshold_excess``).
     """
-    W, w0 = family.line_planes
+    W, w0 = np.ascontiguousarray(family.W[::2]), family.w0[::2]
     tol = point_tolerances(X)
     floor = -tol
     n = X.shape[0]
@@ -402,12 +357,9 @@ def _membership(family: HalfspaceFamily, X: np.ndarray, dtype, pool=None):
         return on_line
 
     los = range(0, w0.size, step)
-    if pool is None:
-        on_line = chunks(los)
-    else:  # one run of consecutive chunks per worker
-        per = -(-len(los) // _workers(pool))
-        runs = [los[i:i + per] for i in range(0, len(los), per)]
-        on_line = [idx for run in _ordered_map(chunks, runs, pool) for idx in run]
+    per = len(los) if pool is None else -(-len(los) // _cpus())
+    runs = [los[i:i + per] for i in range(0, len(los), per)]
+    on_line = [idx for run in _fork_join(chunks, runs, pool) for idx in run]
     line, point = np.divmod(np.concatenate(on_line), n)
     pts = np.flatnonzero(np.bincount(point, minlength=n))
     E = np.zeros((w0.size, pts.size), dtype=dtype)
@@ -485,12 +437,12 @@ def _label_operand(Z):
     return wide
 
 
-def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles, pool=None):
+def _tuple_blocks(Z, n1, pts, E, start, base, singles, pool=None):
     """Mistake counts, offset by ``base``, over the points of ``Z`` (lines
     by points; columns: the n1 1-labels, then the 0-labels): of every
-    member from ``start`` on if ``singles``, then of every pair of them
-    i < j, lexicographic, in blocks. ``slots`` maps the orientation slots
-    of Z's lines, 2l + sign, to member indices (``HalfspaceFamily.slots``).
+    member if ``singles``, then of every pair i < j of the members from
+    ``start`` on, lexicographic, in blocks. The members are numbered over
+    Z's lines, 2l + 1 the exact negation of 2l (``HalfspaceFamily``).
 
     Over the points, with +1 per 1-label and -1 per 0-label, the plus
     orientation P_l of line l is a row of Z and the minus orientation is
@@ -516,14 +468,15 @@ def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles, pool=None):
     written; taller strips gain little on syrk at large n and lose more
     on the writes at small n. Each correction, with its row and column
     terms as extra rank-one rows, is one small GEMM of inner size at
-    most 2k + 2. The four blocks are interleaved by slot, at most
-    ``_CHUNK_ENTRIES`` entries at a time, and the member slots i < j kept.
-    Every partial sum is an integer of magnitude at most 4n, exact in
-    ``Z``'s dtype (``_score_blocks``), so G is the same in any order of
-    summation. Given a ``pool``, the strips are formed on it
-    (``_ordered_map``) when this call's L^2 n / 2 multiply-adds reach
-    ``_THREAD_MIN_MADDS``; the blocks are assembled and yielded on the
-    calling thread, in rank order.
+    most 2k + 2. The four blocks are interleaved by member, at most
+    ``_CHUNK_ENTRIES`` entries at a time, and the pairs i < j of members
+    from ``start`` on kept. Every partial sum is an integer of magnitude
+    at most 4n, exact in ``Z``'s dtype (``_score_blocks``), so G is the
+    same in any order of summation. Given a ``pool``, and when this
+    call's L^2 n / 2 multiply-adds reach ``_THREAD_MIN_MADDS``, each
+    strip is the sum of one partial strip per CPU, over an equal share of
+    each label block's points (``_fork_join``); the calling thread sums
+    them and assembles and yields the blocks, in rank order.
     """
     L, n = Z.shape
     k = pts.size
@@ -538,7 +491,7 @@ def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles, pool=None):
     count_minus = o_r + (base + 2 * n1 - n)  # base + A - r + o
     if singles:
         both = np.concatenate([count_plus[:, None], count_minus[:, None]], axis=1)
-        yield both.ravel()[slots >= start]
+        yield both.ravel()
     # the corrections and their rank-one terms as row factors:
     # plus.T @ on = C + r_l + base, on.T @ plus = C' + r_m + base, and
     # minus.T @ cols = the minus-minus count - G. No inner size is 1,
@@ -548,27 +501,35 @@ def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles, pool=None):
                            ones])
     right = np.concatenate([E.T, ones, ones, E.T, -sP.T, ones, o_r[None]])
     plus, minus, on, cols = left[:k + 2], left[k + 2:], right[:k + 2], right[k + 2:]
-    # a row slot outside the members from ``start`` on keeps no column
-    row_member = np.where(slots < start, start + slots.size, slots)
+    # member ids over Z's lines; a row member before ``start`` keeps no column
+    member = np.arange(2 * L)
+    row_member = np.where(member < start, 2 * L, member)
     strip = _strip_lines(L)
     rows = max(1, _CHUNK_ENTRIES // (4 * L))
-
-    def gram(a):
-        b = min(L, a + strip)
-        G = np.empty((b - a, L - a), dtype=Z.dtype)
-        block = G[:, :b - a]
-        np.matmul(Z1[a:b], Z1[a:b].T, out=block)
-        block -= Z0[a:b] @ Z0[a:b].T
-        if b < L:
-            block = G[:, b - a:]
-            np.matmul(Z1[a:b], Z1[b:].T, out=block)
-            block -= Z0[a:b] @ Z0[b:].T
-        return G
-
     if not _threaded(L, n):
         pool = None
-    starts = range(0, L, strip)
-    for a, G in zip(starts, _ordered_map(gram, starts, pool)):
+    parts = 1 if pool is None else _cpus()
+    shares = [(slice(Z1.shape[1] * i // parts, Z1.shape[1] * (i + 1) // parts),
+               slice(Z0.shape[1] * i // parts, Z0.shape[1] * (i + 1) // parts))
+              for i in range(parts)]
+
+    def gram(a, share):
+        b = min(L, a + strip)
+        Z1s, Z0s = Z1[:, share[0]], Z0[:, share[1]]
+        G = np.empty((b - a, L - a), dtype=Z.dtype)
+        block = G[:, :b - a]
+        np.matmul(Z1s[a:b], Z1s[a:b].T, out=block)
+        block -= Z0s[a:b] @ Z0s[a:b].T
+        if b < L:
+            block = G[:, b - a:]
+            np.matmul(Z1s[a:b], Z1s[b:].T, out=block)
+            block -= Z0s[a:b] @ Z0s[b:].T
+        return G
+
+    for a in range(0, L, strip):
+        G, *partials = _fork_join(partial(gram, a), shares, pool)
+        for part in partials:
+            G += part
         b = a + G.shape[0]
         for c in range(a, b, rows):
             e = min(b, c + rows)
@@ -578,7 +539,7 @@ def _tuple_blocks(Z, n1, pts, E, slots, start, base, singles, pool=None):
             np.subtract(plus[:, c:e].T @ on[:, c:], g, out=out[:, 0, :, 1])
             np.subtract(on[:, c:e].T @ plus[:, c:], g, out=out[:, 1, :, 0])
             np.add(minus[:, c:e].T @ cols[:, c:], g, out=out[:, 1, :, 1])
-            keep = slots[2 * c:] > row_member[2 * c:2 * e, None]
+            keep = member[2 * c:] > row_member[2 * c:2 * e, None]
             yield out.reshape(2 * (e - c), -1)[keep]
 
 
@@ -591,9 +552,9 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
 
     At d = 1 every member is a threshold: its counts come from one sort and
     binary searches (``_threshold_excess``), with no (F, n) matrix. At
-    d >= 2 the work is done once per line, not once per member: one
-    membership row per line over the points in the public span
-    (``_membership``), from which both orientations follow by integer
+    d >= 2 the work is done once per line, members 2l and 2l + 1, not once
+    per member: one membership row per line over the points in the public
+    span (``_membership``), from which both orientations follow by integer
     inclusion-exclusion (``_tuple_blocks``). Singles are signed row totals.
     A tuple of size s >= 2 restricts the points to those inside its first
     s-2 members once, gathering their columns; one symmetric product per
@@ -602,12 +563,12 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     d >= 2 come as floats holding exact integers.
 
     When the pairs' Gram over all lines and points reaches
-    ``_THREAD_MIN_MADDS``, the pass opens a thread pool for its own
-    lifetime: one worker per CPU in the process's affinity set, capped by
-    the membership chunks or Gram strips there are to share, the calling
-    thread being one of them. The membership and every ``_tuple_blocks``
-    call get it; a tuple call over few points keeps to the calling thread
-    by its own check. Closing the generator early shuts the pool down.
+    ``_THREAD_MIN_MADDS`` and the process may run on more than one CPU,
+    the pass opens a thread pool for its own lifetime, one thread per CPU
+    but the calling one, which works too. The membership and every
+    ``_tuple_blocks`` call get it; a tuple call over few points keeps to
+    the calling thread by its own check. The pool is shut down when the
+    pass ends, is closed early or raises.
     """
     zero = sample.y == 0
     n0 = int(np.count_nonzero(zero))
@@ -623,14 +584,11 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     X1 = sample.X[span & ~zero]
     X = np.concatenate([X1, sample.X[span & zero]])
     n1 = X1.shape[0]
-    line, sign = family.line, family.sign
-    L, n = int(line[-1]) + 1, X.shape[0]
+    L, n = F // 2, X.shape[0]
     opened = contextlib.nullcontext()
-    if _threaded(L, n):
-        workers = min(_cpus(), max(-(-L // _chunk_lines(n)), -(-L // _strip_lines(L))))
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor  # a 6 ms import, paid here only
-            opened = ThreadPoolExecutor(workers - 1, thread_name_prefix="ppmlearn-score")
+    if _threaded(L, n) and (cpus := _cpus()) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a 6 ms import, paid here only
+        opened = ThreadPoolExecutor(cpus - 1, thread_name_prefix="ppmlearn-score")
     with opened as pool:
         # the GEMMs and the sums after them form integers of magnitude at
         # most 4n, exact in float32 while 4n <= 2^24
@@ -644,18 +602,17 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
                 if prefix:
                     inside = np.ones(n, dtype=bool)
                     for p in prefix:
-                        held = Z[line[p]] > 0
-                        if sign[p]:
+                        held = Z[p // 2] > 0
+                        if p % 2:
                             held = ~held
-                            held[pts[E[line[p]] > 0]] = True
+                            held[pts[E[p // 2] > 0]] = True
                         inside &= held
                     keep = np.flatnonzero(inside)
                     on = inside[pts]
-                    l0 = line[start]
+                    l0 = start // 2
                     part = (Z[l0:, keep], int(np.searchsorted(keep, n1)),
                             np.searchsorted(keep, pts[on]), E[l0:, on])
-                for counts in _tuple_blocks(*part, family.slots[2 * line[start]:], start,
-                                            n0, not prefix, pool):
+                for counts in _tuple_blocks(*part, start % 2, n0, not prefix, pool):
                     yield rank, counts
                     rank += counts.size
 

@@ -112,9 +112,12 @@ def bin_counts(values: np.ndarray, bins: int, name: str = "mistake count",
 
 def mechanism_distribution(mistake_counts, epsilon: float, n: int) -> MechanismDistribution:
     """The law over a class with these mistake counts. No hypothesis makes
-    more than n mistakes on n points, so a count above n is refused."""
+    more than n mistakes on n points, so a count above n is refused, and a
+    count that is not an integer is refused, not rounded."""
     c = np.asarray(mistake_counts)
     if c.dtype.kind not in "iu":
+        if not np.all(np.isfinite(c) & (np.floor(c) == c)):
+            raise ValueError("mistake counts must be integers")
         c = c.astype(np.int64)
     return MechanismDistribution(histogram=bin_counts(c, n + 1), epsilon=float(epsilon),
                                  n=int(n))

@@ -89,9 +89,10 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     exact selection distributions over the shared class and records the
     maximum pointwise |log P(h) - log P'(h)|. Public entries are never
     touched, since the guarantee holds only with respect to private
-    entries; ``trials`` < 1 is refused, as it would check nothing. PASS
-    means every ratio is at most epsilon + 1e-9. A pool is refused before
-    its family is built exactly when ``learn_half`` refuses it by default.
+    entries; ``trials`` < 1 and an empty list of epsilons are refused
+    before any scoring, as they would check nothing. PASS means every
+    ratio is at most epsilon + 1e-9. A pool is refused before its family
+    is built exactly when ``learn_half`` refuses it by default.
 
     A hypothesis with c mistakes on the dataset has c - 1 + s on the
     neighbor, where s in {0, 1, 2} counts its mistakes on the flipped old
@@ -105,6 +106,8 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     every epsilon.
     """
     epsilons = tuple(check_epsilon(e) for e in (epsilon if np.iterable(epsilon) else [epsilon]))
+    if not epsilons:
+        raise ValueError("epsilon list must not be empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     priv_idx = np.flatnonzero(dataset.p)

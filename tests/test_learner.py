@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 from concurrent import futures
 
 import numpy as np
@@ -148,8 +149,6 @@ def assert_family_matches_oracle(S_pub, dim, pool_cap=None):
         [h.source for h in ref]
     # dedup keeps or drops both orientations of a line: member 2k is its
     # plus and member 2k+1 its exact negation
-    assert fam.line.tolist() == [i // 2 for i in range(fam.size)]
-    assert fam.sign.tolist() == [i % 2 for i in range(fam.size)]
     assert np.array_equal(fam.W[1::2], -fam.W[::2])
     assert np.array_equal(fam.w0[1::2], -fam.w0[::2])
     return fam
@@ -202,18 +201,22 @@ def test_family_refuses_non_unit_normals():
                                     AffineSubspace.full_space(1), (), 1)
 
 
-def test_family_pairs_adjacent_exact_negations():
+def test_family_refuses_unpaired_members():
     a, b = [1.0, 0.0], [0.0, 1.0]
     neg = lambda v: [-x for x in v]  # noqa: E731
-    # a -a | b | a -a | a (a run of three) | -b | b+1e-15 (not exact) | -b b | b
-    W = [a, neg(a), b, a, neg(a), a, neg(b), b, neg(b), b, b]
-    w0 = [0.5, -0.5, 2.0, 0.5, -0.5, 0.5, -2.0, 2.0 + 1e-15, -2.0, 2.0, 2.0]
-    fam = learner.HalfspaceFamily(W, w0, -np.ones((11, 2)), AffineSubspace.full_space(2), (), 2)
-    assert fam.line.tolist() == [0, 0, 1, 2, 2, 3, 4, 5, 6, 6, 7]
-    assert fam.sign.tolist() == [0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0]
-    assert fam.slots.tolist() == [0, 1, 2, -1, 3, 4, 5, -1, 6, -1, 7, -1, 8, 9, 10, -1]
-    W0, w00 = fam.line_planes
-    assert np.array_equal(W0, np.array(W)[fam.sign == 0]) and w00.size == 8
+    full = AffineSubspace.full_space(2)
+    fam = learner.HalfspaceFamily([a, neg(a), b, neg(b)], [0.5, -0.5, 2.0, -2.0],
+                                  -np.ones((4, 2)), full, (), 2)
+    assert fam.size == 4
+    for W, w0 in [
+        ([a], [0.5]),                                   # one orientation
+        ([a, neg(a), b], [0.5, -0.5, 2.0]),             # an odd count
+        ([a, b, neg(a), neg(b)], [0.5, 2.0, -0.5, -2.0]),  # negations apart
+        ([b, neg(b)], [2.0, -2.0 - 1e-15]),            # not exact
+        ([a, a], [0.5, 0.5]),                           # a repeat, not a negation
+    ]:
+        with pytest.raises(ValueError, match="pairs 2l, 2l \\+ 1 of exact negations"):
+            learner.HalfspaceFamily(W, w0, -np.ones((len(w0), 2)), full, (), 2)
 
 
 def test_negative_pool_cap_is_refused():
@@ -321,21 +324,21 @@ def test_negative_members_are_refused():
 
 
 def quadrant_family():
-    # members x[0] >= 0 and x[1] >= 0
-    return HalfspaceFamily(np.eye(2), np.zeros(2), -np.ones((2, 2)),
-                           AffineSubspace.full_space(2), (0, 1), 2)
+    # members 0 and 2 are x[0] >= 0 and x[1] >= 0, 1 and 3 their negations
+    return HalfspaceFamily([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], np.zeros(4),
+                           -np.ones((4, 2)), AffineSubspace.full_space(2), (0, 1), 2)
 
 
 def test_predict_examples():
     fam = quadrant_family()
-    g = IntersectionHypothesis((0, 1))
+    g = IntersectionHypothesis((0, 2))
     assert predict_many(g, fam, [[1.0, 1.0], [-1.0, 1.0]]).tolist() == [0, 1]
     assert predict_many(EMPTY_REGION, fam, [[0.0, 0.0]]).tolist() == [1]
 
 
 def test_predict_outside_affine_subspace():
     aff = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))  # x-axis
-    fam = HalfspaceFamily([[1.0, 0.0]], [0.0], [[-1, -1]], aff, (0,), 2)
+    fam = HalfspaceFamily([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0], [[-1, -1]] * 2, aff, (0,), 2)
     g = IntersectionHypothesis((0,))
     # off the axis, on it inside the member, on it outside
     assert predict_many(g, fam, [[1.0, 0.5], [1.0, 0.0], [-1.0, 0.0]]).tolist() == [1, 0, 1]
@@ -487,7 +490,7 @@ def test_line_scorer_agrees_across_chunks(dim, monkeypatch):
     strips = []
     for points in LINE_INPUTS:
         fam, sample = _line_family(points, dim, 5)
-        lines = fam.slots.size // 2
+        lines = fam.size // 2
         monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 6 * lines)
         assert_counts_match_naive(fam, sample, dim)
         strips.append(-(-lines // 3))
@@ -538,22 +541,25 @@ def test_threaded_scoring_matches_the_sequential_path(dim, monkeypatch):
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert got == [expected] * 3
-    # a task per line, 12 to 21 lines: 11 to 20 pool threads next to the
-    # calling one, more than the cores of a CI runner
-    assert len(opened) == 3 * len(cases) and min(opened) >= 11
+    # a pool thread per CPU but the calling one, 63 threads, more than the
+    # cores of a CI runner
+    assert opened == [63] * (3 * len(cases))
 
 
 def test_scoring_opens_a_pool_from_the_gate_on(monkeypatch):
     monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)  # a task per line
     monkeypatch.setattr(learner, "_cpus", lambda: 2)
     fam, sample = _line_family(_lines_generator, 2, 0)
-    lines, points = fam.slots.size // 2, sample.n  # every point is in the span
+    lines, points = fam.size // 2, sample.n  # every point is in the span
+    counts = []
     for gate, pools in [(lines * lines * points / 2, 1), (lines * lines * points / 2 + 1, 0)]:
         monkeypatch.setattr(learner, "_THREAD_MIN_MADDS", gate)
         opened = []
         _counting_executor(monkeypatch, opened)
-        all_mistake_counts(fam, sample, 2)
+        counts.append(all_mistake_counts(fam, sample, 2).tolist())
         assert opened == [1] * pools  # one pool thread next to the calling one
+    # each Gram strip summed from two halves of the points, and formed whole
+    assert counts[0] == counts[1]
 
 
 def test_audit_size_scoring_opens_no_pool(monkeypatch):
@@ -588,18 +594,53 @@ def test_closing_the_scorer_early_shuts_its_pool_down(monkeypatch):
     assert not pool_threads()
 
 
-def test_ordered_map_keeps_order_and_raises_a_task_error():
+def test_fork_join_keeps_order_and_raises_a_task_error():
+    ended = []
+
     def square_below_7(i):
         if i == 7:
             raise KeyError(i)
+        time.sleep(0.01)
+        ended.append(i)
         return i * i
 
     with futures.ThreadPoolExecutor(2) as pool:
-        for workers in (None, pool):
-            assert list(learner._ordered_map(square_below_7, range(7), workers)) == [
-                i * i for i in range(7)]
+        assert learner._fork_join(square_below_7, [5], None) == [25]
+        for items in (range(3), range(7)):  # as many items as workers, and more
+            assert learner._fork_join(square_below_7, items, pool) == [i * i for i in items]
+        # the caller's item fails, a pool task's, and a queued task's: every
+        # other task has ended by the time the error is raised
+        for items in ([7, 1, 2], [1, 7, 2], [1, 2, 3, 4, 5, 6, 7]):
+            ended.clear()
             with pytest.raises(KeyError):
-                list(learner._ordered_map(square_below_7, range(12), workers))
+                learner._fork_join(square_below_7, items, pool)
+            assert sorted(ended) == sorted(set(items) - {7})
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 2, 5])
+def test_a_pool_task_error_leaves_the_scorer_and_stops_its_pool(fail_at, monkeypatch):
+    # with three CPUs, two membership runs go to the pool, then two partial
+    # Gram strips per strip: the failing task is one of the membership's or
+    # of the pairs'
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(learner, "_THREAD_MIN_MADDS", 0)
+    monkeypatch.setattr(learner, "_cpus", lambda: 3)
+    real = futures.ThreadPoolExecutor
+    submits = itertools.count()
+
+    def failing(*args):
+        raise KeyError("pool task")
+
+    class FailingExecutor(real):
+        def submit(self, fn, *args):
+            return super().submit(failing if next(submits) == fail_at else fn, *args)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", FailingExecutor)
+    fam, sample = _line_family(_lines_generator, 2, 0)
+    with pytest.raises(KeyError, match="pool task"):
+        all_mistake_counts(fam, sample, 2)
+    assert next(submits) > fail_at  # the failing task was submitted
+    assert not [t for t in threading.enumerate() if t.name.startswith("ppmlearn-score")]
 
 
 def _few_per_label(rng, dim, n1, n0):
@@ -632,27 +673,6 @@ def test_line_scorer_on_single_label_samples(dim, label):
     for seed in range(3):
         fam, sample = _line_family(_lines_generator, dim, seed)
         assert_counts_match_naive(fam, labeled(sample.X, np.full(sample.n, label)), dim)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_line_scorer_with_one_orientation_of_some_lines(dim):
-    for seed in range(3):
-        full, sample = _line_family(_lines_grid, dim, seed)
-        rng = np.random.default_rng(seed)
-        # drop the plus of some lines and the minus of others
-        keep = np.flatnonzero(rng.random(full.size) < 0.7)
-        fam = HalfspaceFamily(full.W[keep], full.w0[keep], full.sources[keep], full.aff,
-                              full.pool_indices, dim)
-        assert np.array_equal(fam.line, np.unique(full.line[keep], return_inverse=True)[1])
-        assert 0 < fam.sign.sum() < np.count_nonzero(fam.sign == 0)  # some pairs left
-        assert_counts_match_naive(fam, sample, dim)
-        # the same members, reordered so that no two negations are adjacent:
-        # every member is a line of its own
-        order = np.argsort(fam.sign, kind="stable")
-        alone = HalfspaceFamily(fam.W[order], fam.w0[order], fam.sources[order], fam.aff,
-                                fam.pool_indices, dim)
-        assert alone.line.tolist() == list(range(fam.size)) and not alone.sign.any()
-        assert_counts_match_naive(alone, sample, dim)
 
 
 def test_counts_are_compact_integers():
@@ -796,8 +816,8 @@ def test_d1_counts_with_normals_off_unit_by_1e13(no_membership):
                         [1.0 + 1e-13, 1.0 - 2e-13, -2.0 * (1.0 + 1e-13)]])
     sample = labeled(x[:, None], rng.integers(0, 2, x.size))
     W, w0 = np.array([[s * (1.0 + e), s * t * (1.0 + e)]
-                      for t in (-2.0, 0.0, 1.0, 3.0) for s in (1.0, -1.0)
-                      for e in (1e-13, -1e-13)]).T
+                      for t in (-2.0, 0.0, 1.0, 3.0) for e in (1e-13, -1e-13)
+                      for s in (1.0, -1.0)]).T
     assert np.all(np.abs(np.abs(W) - 1.0) > 0)  # off unit
     fam = HalfspaceFamily(W[:, None], w0, -np.ones((W.size, 1)), AffineSubspace.full_space(1),
                           (), 1)

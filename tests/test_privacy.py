@@ -90,6 +90,11 @@ def test_mechanism_validation():
             MechanismDistribution([0, 1, 0, 0, 0, 0], eps, 5)
     with pytest.raises(ValueError):
         mechanism_distribution([1], 1.0, 0)
+    # a count that is no integer is refused, not floored; integral floats pass
+    for counts in ([0.5, 1.7], [1.0, math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="mistake counts must be integers"):
+            mechanism_distribution(counts, 1.0, 3)
+    assert mechanism_distribution([1.0, 2.0], 1.0, 3).histogram.tolist() == [0, 1, 1, 0]
 
 
 def test_law_needs_one_bin_per_count():
@@ -298,3 +303,5 @@ def test_verify_dp_refuses_an_audit_that_checks_nothing(monkeypatch):
     for eps in (math.nan, math.inf, [0.5, math.nan]):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             verify_dp(ds, eps)
+    with pytest.raises(ValueError, match="epsilon list must not be empty"):
+        verify_dp(ds, [])
