@@ -11,7 +11,8 @@ pivot (``_erm_sweep``). Rows whose counts the sides cannot settle are
 scored against every point instead: the constants, the subsets of sizes
 2 to d - 1, every hyperplane with another point inside that point's
 margin and every plane whose row may stray too far from the sweep's
-plane, at d >= 4 every plane.
+plane. At d >= 4 no sweep runs, and every plane is scored against every
+point (``_erm_planes``).
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def _rotation_plane(X, piv, scale):
 
 
 def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
-    """d >= 2: the variants of the hyperplane through every d points.
+    """d = 2 and 3: the variants of the hyperplane through every d points.
 
     A hyperplane through the d - 1 points of a pivot turns about them in
     their rotation plane (``_rotation_plane``). There, seen from the
@@ -226,7 +227,7 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
     the subset within that of its boundary, well inside delta - tol, so
     the subset counts as on it. The other planes are crowded: a point near
     the pivot's hull, a rank-deficient subset or near-coincident pivots. At
-    d >= 4 no such bound is proven yet, and every plane is crowded.
+    d >= 4 no such bound is proven yet (``_erm_planes``).
 
     At d = 2 the frame is exact and X[l]'s coordinates are its difference
     from X[i], rounded once, so n_l lies within 8 eps <= 16 eps scale / r_l
@@ -286,8 +287,7 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
         # shifts of 16 keep the rows apart, and the slack covers their rounding
         with np.errstate(divide="ignore"):
             w = margin[k] / r
-        # at d >= 4 no bound on the row's stray is proven: every plane is crowded
-        hull = deficient | (dim > 3) | np.any(w >= 0.5, axis=1)
+        hull = deficient | np.any(w >= 0.5, axis=1)
         w += 1e-12 + 8 * np.spacing(16.0 * c + 2 * np.pi)
         gap = np.empty((c, m))
         np.subtract(phi[:, 1:], phi[:, :-1], out=gap[:, :-1])
@@ -337,6 +337,23 @@ def _erm_sweep(best: _Minimizers, scale: float, delta: float, dim: int) -> None:
                 X, np.column_stack([piv[ci], k[ci, cj]])), delta))
 
 
+def _erm_planes(best: _Minimizers, delta: float, dim: int) -> None:
+    """d >= 4: the variants of the hyperplane through every d points, each
+    scored against every point, as no bound on a row's stray from the
+    sweep's plane is proven there (``_erm_sweep``). The subsets come in
+    chunks by their first d - 1 points, the sweep's pivots, so memory stays
+    O(chunk * n)."""
+    n = best.X.shape[0]
+    pivots = _combinations(n - 1, dim - 1)
+    step = max(1, _CHUNK_ENTRIES // (8 * n))
+    for lo in range(0, pivots.shape[0], step):
+        piv = pivots[lo:lo + step]
+        ci, cj = np.nonzero(np.arange(n) > piv[:, -1:])
+        if ci.size:
+            best.score(*_variants(*supporting_hyperplanes(
+                best.X, np.column_stack([piv[ci], cj])), delta))
+
+
 def erm_halfspace(S_prime: LabeledSample, dim: int):
     """Exact empirical-risk-minimizing halfspace over the candidates the
     module docstring lists; ties broken by lexicographic (w, w0), signed
@@ -346,7 +363,7 @@ def erm_halfspace(S_prime: LabeledSample, dim: int):
     the singletons and one angular sort per pivot (``_erm_sweep``), plus
     O(n) per candidate scored against every point: the subsets of sizes 2
     to d - 1 (the pairs at d = 3, O(n^3) in all) and the crowded
-    hyperplanes. At d >= 4 every plane is crowded, O(n^(d+1)). Refuses a
+    hyperplanes. At d >= 4 every plane is scored so, O(n^(d+1)). Refuses a
     ``dim`` below 1 or other than the sample's.
     """
     if S_prime.n == 0:
@@ -364,7 +381,9 @@ def erm_halfspace(S_prime: LabeledSample, dim: int):
     _erm_thresholds(best, delta)
     for size in range(2, min(dim - 1, n) + 1):
         best.score(*_variants(*supporting_hyperplanes(X, _combinations(n, size)), delta))
-    if dim >= 2:
+    if dim > 3:
+        _erm_planes(best, delta, dim)
+    elif dim >= 2:
         _erm_sweep(best, scale, delta, dim)
     h, count = best.pick()
     return h, ErrorCount(count, S_prime.n)

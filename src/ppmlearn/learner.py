@@ -30,6 +30,9 @@ chunks of lines, and each Gram strip is the sum of one partial product per
 CPU over an equal share of the points. Every sum is an exact integer, so
 the counts are bit-identical either way. Smaller passes, and every d = 1
 pass, run on the calling thread and start no thread.
+
+The DP audit's swap pairs are scored all at once, with the same membership
+and rank order (``swap_mistake_counts``).
 """
 
 from __future__ import annotations
@@ -73,8 +76,7 @@ _FLOAT32_EXACT = 1 << 24       # largest integer count float32 holds exactly
 # runs on threads: a product of ~19 ms on one core, where the strips that
 # overlap save several times the pool's fixed cost of about 1 ms. A d = 2
 # pass over 820 lines and 8000 points (2.7e9) is above it; one over 600
-# points (2.0e8), which a pool slowed, and the audit's swap samples are
-# below.
+# points (2.0e8), which a pool slowed, is below.
 _THREAD_MIN_MADDS = 1_000_000_000
 
 
@@ -627,6 +629,86 @@ def all_mistake_counts(family: HalfspaceFamily, sample: LabeledSample, dim: int)
     for base, counts in _score_blocks(family, sample, dim):
         out[base:base + counts.size] = counts
     return out
+
+
+def swap_mistake_counts(family: HalfspaceFamily, swaps: LabeledSample, dim: int):
+    """Mistake counts of the whole class on many two-point samples at once:
+    points 2t and 2t + 1 of ``swaps`` are sample t. Yields ``(samples,
+    rank, counts)`` blocks, with ``counts[i, h]`` the count on sample
+    ``samples.start + i`` of the hypothesis at rank ``rank + h``; for each
+    slice of samples the blocks cover ranks 0, 1, 2, ... in enumeration
+    order. Each sample's counts are ``all_mistake_counts`` on it, bit for
+    bit, as float32 holding exact integers 0..2.
+
+    One ``_membership`` call takes every point in the public span: member
+    2l holds the points of row l of Z, and member 2l + 1 the others and
+    those on line l (E). A point off the span is in no member. With
+    sigma = +1 per 1-label and -1 per 0-label, and s0 the 0-labels of a
+    sample, the empty region has s0 mistakes, a member s0 plus the signed
+    sum of the points it holds, and a pair s0 plus the signed sum of the
+    points both hold (``_score_blocks``' identity). The pairs come from one
+    batched product per slice of samples and strip of rows, (samples, rows,
+    3) @ (samples, 3, members): the rows' memberships and a 1 against
+    sigma times the columns' memberships and s0. One ``np.take`` reads the
+    entries j > i in rank order. A tuple of size >= 3 multiplies sigma by
+    its prefix members' memberships, the scorer's prefix rule, and takes
+    the pairs after the prefix. Samples are sliced and rows stripped so
+    that no product or block exceeds ``_CHUNK_ENTRIES / 32`` entries by
+    more than one row of members: the int64 keys that the audit forms from
+    a block then take at most 128 KB.
+    """
+    T, F = swaps.n // 2, family.size
+    labels = swaps.y.reshape(T, 2)
+    sign = np.where(labels == 1, 1, -1).astype(np.float32)
+    s0 = np.count_nonzero(labels == 0, axis=1).astype(np.float32)
+    if F == 0:
+        yield slice(0, T), 0, s0[:, None]
+        return
+    # member by sample by point; points off the public span are in no member
+    held = np.zeros((F // 2, 2, swaps.n), dtype=np.int8)
+    span = family.aff.contains_many(swaps.X)
+    Z, pts, E = _membership(family, swaps.X[span], np.int8)
+    held[:, 0, span] = Z
+    minus = 1 - Z
+    minus[:, pts] += E
+    held[:, 1, span] = minus
+    held = held.reshape(F, T, 2)
+    budget = _CHUNK_ENTRIES // 32
+    step = max(1, budget // F)
+    for t in range(0, T, step):
+        samples = slice(t, min(T, t + step))
+        rows = np.ones((samples.stop - t, F, 3), dtype=np.float32)
+        rows[:, :, :2] = held[:, samples].transpose(1, 0, 2)
+        cols = np.empty((samples.stop - t, 3, F), dtype=np.float32)
+        cols[:, :2] = (rows[:, :, :2] * sign[samples, None]).transpose(0, 2, 1)
+        cols[:, 2] = s0[samples, None]
+        yield samples, 0, np.concatenate([s0[samples, None], cols.sum(axis=1)], axis=1)
+        rank = 1 + F
+        for size in range(2, dim + 1):
+            for prefix in itertools.combinations(range(F - 2), size - 2):
+                start = prefix[-1] + 1 if prefix else 0
+                right = cols
+                if prefix:
+                    right = cols[:, :, start:].copy()
+                    right[:, :2] *= rows[:, prefix, :2].prod(axis=1)[:, :, None]
+                for counts in _swap_pairs(rows[:, start:], right, budget):
+                    yield samples, rank, counts
+                    rank += counts.shape[1]
+
+
+def _swap_pairs(rows, cols, budget):
+    """Entries i < j of the stacked products rows @ cols, (s, m, 3) and
+    (s, 3, m), lexicographic, in blocks of at most ``budget`` entries or
+    one row (``swap_mistake_counts``)."""
+    s, m = rows.shape[:2]
+    a = 0
+    while a < m - 1:
+        width = m - a - 1
+        b = min(m - 1, a + max(1, budget // (s * width)))
+        block = rows[:, a:b] @ cols[:, :, a + 1:]
+        upper = np.flatnonzero(np.arange(width) >= np.arange(b - a)[:, None])
+        yield np.take(block.reshape(s, -1), upper, axis=1)
+        a = b
 
 
 def unrank_hypothesis(rank: int, family_size: int, dim: int) -> IntersectionHypothesis:

@@ -55,8 +55,10 @@ class MechanismDistribution:
         hist.flags.writeable = False
         object.__setattr__(self, "histogram", hist)
         object.__setattr__(self, "min_mistakes", int(np.flatnonzero(hist)[0]))
-        object.__setattr__(self, "log_normalizer",
-                           math.log(math.fsum(self._bin_weights())))
+        # past about 1,490 bins at eps = 1 the weights underflow to 0; fsum
+        # rounds the exact sum once, so leaving them out changes no bit
+        weights = self._bin_weights()
+        object.__setattr__(self, "log_normalizer", math.log(math.fsum(weights[weights > 0])))
 
     def _bin_weights(self) -> np.ndarray:
         """hist[c] * exp(-eps*(c - min)/2) for the counts c >= min."""
@@ -91,21 +93,15 @@ class MechanismDistribution:
         raise AssertionError("histogram out of step with the counts")
 
 
-def bin_counts(values: np.ndarray, bins: int, name: str = "mistake count",
-               last: str = "n", plus: np.ndarray | None = None) -> np.ndarray:
-    """Histogram of the non-negative integers ``values``, or of
-    ``values + plus`` when ``plus`` is given, over range(bins), in chunks:
-    bincount converts to intp and the sum is formed one chunk at a time, so
-    neither runs on a full copy. A value past the last bin is refused;
-    ``name`` and ``last`` word the error."""
+def bin_counts(values: np.ndarray, bins: int) -> np.ndarray:
+    """Histogram of the mistake counts ``values`` over range(bins), in
+    chunks: bincount converts to intp one chunk at a time, never a full
+    copy. A count past the last bin, n, is refused."""
     hist = np.zeros(bins, dtype=np.intp)
     for lo in range(0, values.size, _CHUNK_ENTRIES):
-        part = values[lo:lo + _CHUNK_ENTRIES]
-        if plus is not None:
-            part = part + plus[lo:lo + _CHUNK_ENTRIES]
-        part = np.bincount(part, minlength=bins)
+        part = np.bincount(values[lo:lo + _CHUNK_ENTRIES], minlength=bins)
         if part.size > bins:
-            raise ValueError(f"{name} {part.size - 1} above {last} = {bins - 1}")
+            raise ValueError(f"mistake count {part.size - 1} above n = {bins - 1}")
         hist += part
     return hist
 

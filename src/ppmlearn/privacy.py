@@ -8,7 +8,9 @@ from, built from the histogram of mistake counts; the class and its
 counts come from the learner's own scorer, under its default budget. A
 hypothesis's log-ratio depends only on its mistake count on the dataset
 and on the two swapped entries, so each trial evaluates it once per such
-pair rather than once per hypothesis. Because the class is built from
+pair rather than once per hypothesis. The scorer runs once, on the
+dataset; the swapped entries of all trials are counted in one batched
+pass (``learner.swap_mistake_counts``). Because the class is built from
 public entries only, neighbor runs share the same hypothesis space and the
 log-ratio is well defined at every outcome.
 """
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _CHUNK_ENTRIES
 from .learner import (DEFAULT_HYPOTHESIS_BUDGET, all_mistake_counts, check_pool_budget,
-                      construct_halfspace_family)
+                      construct_halfspace_family, swap_mistake_counts)
 from .mechanism import MechanismDistribution, bin_counts, check_epsilon
 from .model import LabeledSample, PPMDataset, curator_only, partition, release_safe
 
@@ -97,13 +100,14 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     A hypothesis with c mistakes on the dataset has c - 1 + s on the
     neighbor, where s in {0, 1, 2} counts its mistakes on the flipped old
     entry and the new one. Both laws, and so the ratio at h, depend on h
-    only through (c, s): each trial bins the class once by 3c + s and
-    evaluates the ratio once per pair that occurs. The base counts are
-    scaled to 3c once, in place in their uint16 while 3n + 2 < 2^16
-    (uint32 beyond), and a trial adds its swap counts s one histogram
-    chunk at a time, so it holds two vectors of class length, the scaled
-    base counts and its swap counts. The base counts are binned once for
-    every epsilon.
+    only through (c, s): each trial bins the class by 3c + s and evaluates
+    the ratio once per pair that occurs. The trials are drawn first, in
+    the order a trial-by-trial loop draws them. Their tables come from one
+    batched pass (``_swap_tables``) per group of trials whose tables fit in
+    ``_CHUNK_ENTRIES / 8`` entries: all 50 default trials while n <= 435.
+    The base counts are scored and binned once for every epsilon, then
+    scaled to 3c in place in their uint16 while 3n < 2^16 (uint32 beyond):
+    the one vector of class length the audit holds.
     """
     epsilons = tuple(check_epsilon(e) for e in (epsilon if np.iterable(epsilon) else [epsilon]))
     if not epsilons:
@@ -121,40 +125,64 @@ def verify_dp(dataset: PPMDataset, epsilon, pool_cap: int | None = None,
     base = all_mistake_counts(family, s_prime, dataset.dim)
     base_hist = bin_counts(base, n + 1)
     base_dists = {eps: MechanismDistribution(base_hist, eps, n) for eps in epsilons}
-    # from here on base holds 3c, in place while 3c + s <= 3n + 2 fits uint16
-    base = base.astype(np.uint16 if 3 * n + 2 < 1 << 16 else np.uint32, copy=False)
+    # from here on base holds 3c, in place while 3n fits uint16
+    base = base.astype(np.uint16 if 3 * n < 1 << 16 else np.uint32, copy=False)
     base *= 3
     rng = np.random.default_rng(seed)
+    index = np.empty(trials, dtype=np.int64)
+    points = np.empty((trials, 2, dataset.dim))
+    labels = np.empty((trials, 2), dtype=np.int64)
+    for t in range(trials):
+        index[t] = rng.choice(priv_idx)
+        points[t, 1] = rng.standard_normal(dataset.dim)
+        labels[t, 1] = rng.integers(0, 2)
+    # mistakes on (x, y) and on (x, 1-y) sum to 1 for every hypothesis,
+    # so dropping the old entry adds its flipped mistakes minus one
+    points[:, 0] = dataset.X[index]
+    labels[:, 0] = 1 - dataset.y[index]
     results = []
-    for _ in range(trials):
-        idx = int(rng.choice(priv_idx))
-        x_new = rng.standard_normal(dataset.dim)
-        y_new = int(rng.integers(0, 2))
-        # mistakes on (x, y) and on (x, 1-y) sum to 1 for every hypothesis,
-        # so dropping the old entry adds its flipped mistakes minus one
-        swap = LabeledSample(np.vstack([dataset.X[idx], x_new]),
-                             [1 - int(dataset.y[idx]), y_new], [idx, idx])
-        # the swap counts are released before the next trial scores its swap
-        pairs = bin_counts(base, 3 * (n + 1), "3c + s", "3n + 2",
-                           plus=all_mistake_counts(family, swap, dataset.dim))
-        neighbor_hist = _neighbor_histogram(pairs.reshape(n + 1, 3))
-        c, s = np.divmod(np.flatnonzero(pairs), 3)
-        for eps in epsilons:
-            d1 = MechanismDistribution(neighbor_hist, eps, n)
-            ratio = float(np.max(np.abs(base_dists[eps].log_prob(c) - d1.log_prob(c - 1 + s))))
-            results.append(NeighborTrial(index=idx, max_log_ratio=ratio, epsilon=eps))
+    group = max(1, _CHUNK_ENTRIES // 8 // (3 * (n + 1)))
+    for lo in range(0, trials, group):
+        swaps = LabeledSample(points[lo:lo + group].reshape(-1, dataset.dim),
+                              labels[lo:lo + group].ravel(), np.repeat(index[lo:lo + group], 2))
+        pairs = _swap_tables(family, base, swaps, dataset.dim, n)
+        for t, neighbor_hist in enumerate(_neighbor_histograms(pairs), lo):
+            c, s = np.divmod(np.flatnonzero(pairs[t - lo]), 3)
+            for eps in epsilons:
+                d1 = MechanismDistribution(neighbor_hist, eps, n)
+                ratio = float(np.max(np.abs(base_dists[eps].log_prob(c) - d1.log_prob(c - 1 + s))))
+                results.append(NeighborTrial(index=int(index[t]), max_log_ratio=ratio, epsilon=eps))
     return DPAuditReport(epsilons=epsilons, trials=tuple(results),
                          class_size=base.size, family_size=family.size,
                          n=n, slack=RATIO_SLACK)
 
 
-def _neighbor_histogram(pairs: np.ndarray) -> np.ndarray:
-    """Histogram of the neighbor counts c - 1 + s from the (n+1, 3) table of
-    hypotheses by base count c and swap count s. A neighbor count outside
-    0..n means the counts are out of step; it is refused, not wrapped."""
-    by_sum = np.zeros(pairs.shape[0] + 2, dtype=np.int64)  # index = c + s
+def _swap_tables(family, base, swaps: LabeledSample, dim: int, n: int) -> np.ndarray:
+    """The (trials, n+1, 3) tables of hypotheses by base count c and swap
+    count s, for the trials whose swap pairs are ``swaps``, from ``base``
+    holding 3c. One bincount of 3c + s + 3(n + 1) i per block of
+    ``learner.swap_mistake_counts`` fills the tables of the block's trials,
+    i the trial's place in the block."""
+    stride = 3 * (n + 1)
+    pairs = np.zeros((swaps.n // 2, stride), dtype=np.int64)
+    offsets = stride * np.arange(pairs.shape[0])[:, None]
+    for samples, rank, counts in swap_mistake_counts(family, swaps, dim):
+        keys = counts.astype(np.intp)
+        keys += base[rank:rank + keys.shape[1]]
+        keys += offsets[:len(keys)]
+        pairs[samples] += np.bincount(keys.ravel(), minlength=stride * len(keys)).reshape(-1, stride)
+    return pairs.reshape(-1, n + 1, 3)
+
+
+def _neighbor_histograms(pairs: np.ndarray) -> np.ndarray:
+    """Histograms of the neighbor counts c - 1 + s, one per trial, from the
+    (trials, n+1, 3) tables of hypotheses by base count c and swap count s.
+    A neighbor count outside 0..n means the counts are out of step; it is
+    refused, not wrapped."""
+    trials, bins = pairs.shape[:2]
+    by_sum = np.zeros((trials, bins + 2), dtype=np.int64)  # index = c + s
     for s in range(3):
-        by_sum[s:s + pairs.shape[0]] += pairs[:, s]
-    if by_sum[0] or by_sum[-1]:
+        by_sum[:, s:s + bins] += pairs[:, :, s]
+    if by_sum[:, 0].any() or by_sum[:, -1].any():
         raise AssertionError("neighbor mistake count outside 0..n")
-    return by_sum[1:-1]
+    return by_sum[:, 1:-1]

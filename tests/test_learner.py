@@ -497,6 +497,51 @@ def test_line_scorer_agrees_across_chunks(dim, monkeypatch):
     assert max(strips) >= 4
 
 
+def _swap_publics(rng, dim, flat):
+    """Public points in general position, or on a lower-dimensional span
+    when ``flat``: one point at d = 1, a line at d = 2, a plane at d = 3."""
+    if not flat:
+        return rng.standard_normal((5, dim))
+    basis = rng.standard_normal((dim - 1, dim))
+    return rng.standard_normal(dim) + rng.standard_normal((5, dim - 1)) @ basis
+
+
+def _swap_candidates(rng, pub, dim):
+    """Points on a public point, on the hyperplane through a public pair
+    (and triple at d = 3), off a flat public span, and at random."""
+    on_line = (pub[0] + pub[1]) / 2
+    on_plane = pub[2:5].mean(axis=0)
+    return np.vstack([pub[:2], on_line, on_plane, rng.standard_normal((3, dim))])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("flat", [False, True])
+def test_swap_counts_match_the_scorer_on_each_pair(dim, flat, monkeypatch):
+    # every sample's counts equal all_mistake_counts on its two points,
+    # over samples split across slices and rows across strips of a few rows
+    rng = np.random.default_rng(10 * dim + flat)
+    pub = _swap_publics(rng, dim, flat)
+    fam = construct_halfspace_family(labeled(pub, np.zeros(5, dtype=int)), dim)
+    cand = _swap_candidates(rng, pub, dim)
+    T = 2 * cand.shape[0]  # each candidate first in a pair with either label
+    X = np.stack([cand[np.arange(T) // 2], cand[rng.integers(0, cand.shape[0], T)]], axis=1)
+    y = np.column_stack([np.arange(T) % 2, rng.integers(0, 2, T)])
+    swaps = LabeledSample(X.reshape(-1, dim), y.ravel(), np.zeros(2 * T, dtype=int))
+    G = class_cardinality(fam.size, dim)
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 32 * 3 * fam.size)
+    got = np.full((T, G), -1.0)
+    slices = set()
+    for samples, rank, counts in learner.swap_mistake_counts(fam, swaps, dim):
+        assert counts.dtype == np.float32
+        assert (got[samples, rank:rank + counts.shape[1]] == -1).all()
+        got[samples, rank:rank + counts.shape[1]] = counts
+        slices.add((samples.start, samples.stop))
+    assert len(slices) == -(-T // 3) >= 2
+    for t in range(T):
+        pair = LabeledSample(X[t], y[t], [0, 0])
+        assert np.array_equal(got[t], all_mistake_counts(fam, pair, dim)), t
+
+
 def _counting_executor(monkeypatch, opened):
     """Record the worker count of every pool the scorer opens."""
     real = futures.ThreadPoolExecutor

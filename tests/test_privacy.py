@@ -189,15 +189,41 @@ def test_verify_dp_refuses_a_neighbor_count_below_zero(monkeypatch):
     # planted: every swap count 0, so a hypothesis with 0 mistakes would
     # have -1 on the neighbour, which must raise rather than wrap to bin n
     ds = label_determined(2, 10, seed=4)
-    real = privacy.all_mistake_counts
+    real = privacy.swap_mistake_counts
 
-    def planted(family, sample, dim):
-        counts = real(family, sample, dim)
-        return np.zeros_like(counts) if sample.n == 2 else counts
+    def planted(family, swaps, dim):
+        for samples, rank, counts in real(family, swaps, dim):
+            yield samples, rank, np.zeros_like(counts)
 
-    monkeypatch.setattr(privacy, "all_mistake_counts", planted)
+    monkeypatch.setattr(privacy, "swap_mistake_counts", planted)
     with pytest.raises(AssertionError, match="outside 0..n"):
         verify_dp(ds, [0.5], trials=2, seed=1)
+
+
+def test_verify_dp_scores_the_class_once_for_any_number_of_trials(monkeypatch):
+    # the base class is the one scorer call; the trials' swap pairs are one
+    # batched pass over one sample, with no sample built per trial
+    scored, samples = [], []
+    real_counts, real_sample = privacy.all_mistake_counts, privacy.LabeledSample
+
+    def counts_spy(family, sample, dim):
+        scored.append(sample.n)
+        return real_counts(family, sample, dim)
+
+    def sample_spy(*args):
+        samples.append(args)
+        return real_sample(*args)
+
+    monkeypatch.setattr(privacy, "all_mistake_counts", counts_spy)
+    monkeypatch.setattr(privacy, "LabeledSample", sample_spy)
+    for dim, trials in [(1, 1), (2, 7), (2, 50), (3, 4)]:
+        ds = label_determined(dim, 12, seed=trials)
+        scored.clear()
+        samples.clear()
+        report = verify_dp(ds, [0.1, 1.0], pool_cap=4, trials=trials, seed=trials)
+        assert report.passed and len(report.trials) == 2 * trials
+        assert scored == [ds.n]
+        assert len(samples) == 1
 
 
 def test_verify_dp_matches_per_hypothesis_oracle_bit_for_bit():
