@@ -13,23 +13,23 @@ threshold: one sort of the sample and two binary searches per member count
 the points on each side, and only the points near a threshold are tested
 one by one, O((F + n) log n). At d >= 2 the members come in lines:
 member 2l is line l's plus orientation and member 2l + 1 its exact
-negation (``HalfspaceFamily``). Membership is taken once per line, as a
-matrix of lines by points with the 1-labels first, and the counts
-of both orientations follow by inclusion-exclusion from one symmetric
-product per label (numpy runs them as syrk) and small products over the
-points on a line: pairs cost (F/2)^2 * n / 2 multiply-adds, not
-F^2 * n / 2. Every value formed is an integer of magnitude at most 4n;
-the products run in float32, exact while 4n <= 2^24, and in float64
-beyond. Counts are stored as uint16 while n < 65,536 and as uint32
-beyond.
+negation (``HalfspaceFamily``). Membership is taken once per line and
+point, and the counts of both orientations follow by inclusion-exclusion
+from one symmetric product per label (numpy runs them as syrk) and small
+products over the points on a line: pairs cost (F/2)^2 * n / 2
+multiply-adds, not F^2 * n / 2. The points stream through the products in
+chunks, each dropped once summed: at d = 2 memory is O((F/2)^2 + F/2 *
+chunk) per CPU, whatever n. A chunk's products are exact in float32; their
+sums, integers of magnitude at most 4n, go to float64 once 4n passes 2^24.
+Counts are stored as uint16 while n < 65,536 and as uint32 beyond.
 
 A scoring pass whose pair Gram takes at least ``_THREAD_MIN_MADDS``
 multiply-adds runs on every CPU the process may use, on a thread pool that
-lives for that pass alone (``_fork_join``): the CPUs share the membership's
-chunks of lines, and each Gram strip is the sum of one partial product per
-CPU over an equal share of the points. Every sum is an exact integer, so
-the counts are bit-identical either way. Smaller passes, and every d = 1
-pass, run on the calling thread and start no thread.
+lives for that pass alone (``_fork_join``): each CPU streams an equal share
+of the points into sums of its own, and the calling thread adds them up.
+Every sum is an exact integer, so the counts are bit-identical either way.
+Smaller passes, and every d = 1 pass, run on the calling thread and start
+no thread.
 
 The DP audit's swap pairs are scored all at once, with the same membership
 and rank order (``swap_mistake_counts``).
@@ -43,7 +43,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -73,10 +72,10 @@ from .model import (
 DEFAULT_HYPOTHESIS_BUDGET = 50_000_000
 _FLOAT32_EXACT = 1 << 24       # largest integer count float32 holds exactly
 # Multiply-adds of a pair Gram, lines^2 * points / 2, from which scoring
-# runs on threads: a product of ~19 ms on one core, where the strips that
-# overlap save several times the pool's fixed cost of about 1 ms. A d = 2
-# pass over 820 lines and 8000 points (2.7e9) is above it; one over 600
-# points (2.0e8), which a pool slowed, is below.
+# runs on threads: a product of ~19 ms on one core, where the CPUs' shares
+# of the points save several times the pool's fixed cost of about 1 ms. A
+# d = 2 pass over 820 lines and 8000 points (2.7e9) is above it; one over
+# 600 points (2.0e8), which a pool slowed, is below.
 _THREAD_MIN_MADDS = 1_000_000_000
 
 
@@ -295,9 +294,10 @@ def _chunk_lines(n: int) -> int:
     return max(1, _CHUNK_ENTRIES // 8 // max(n, 1))
 
 
-def _strip_lines(L: int) -> int:
-    """Lines per Gram strip over L lines (``_tuple_blocks``)."""
-    return max(1, _CHUNK_ENTRIES // (2 * L))
+def _chunk_points(L: int) -> int:
+    """Points per chunk that ``_gram`` streams over L lines: 4 MiB of float32
+    membership. Half that made a d = 2 pass over 820 lines a few % slower."""
+    return max(1, 2 * _CHUNK_ENTRIES // max(L, 1))
 
 
 def _threaded(L: int, n: int) -> bool:
@@ -318,55 +318,39 @@ def _fork_join(fn, items, pool):
             future.exception()  # waits for the task; a later error is dropped
 
 
-def _membership(family: HalfspaceFamily, X: np.ndarray, dtype, pool=None):
-    """Membership at d >= 2 of points X, all in the public span, lines by
-    points.
-
-    One signed value s = W . x - w0 per (line, point), for the line's plus
-    orientation (W, w0), member 2l. It holds x when s >= -tol,
-    tol = MEM_TOL * (1 + |x|), and the minus orientation, member 2l + 1,
-    its exact negation, holds x when s <= tol: the test that
-    ``predict_many`` makes. Returns the (L, n) 0/1 matrix Z of the plus
-    orientations and the points on some line, which both orientations of
-    that line hold: their indices, ascending, and their (L, k) 0/1 on-line
-    columns E. One product W[lo:hi] @ X.T per chunk of lines, sized so
-    that s stays in L2 (``_CHUNK_ENTRIES / 8`` float64 entries), and two
-    comparison passes over it: s >= -tol gives Z's rows and s > tol the
-    points strictly inside, so a held point not strictly inside is on the
-    line. The few on-line pairs are kept as indices, never as an (L, n)
-    mask. Given a ``pool``, the chunks are split into one run of
-    consecutive chunks per CPU (``_fork_join``); each run writes its own
-    rows of Z, and the on-line indices are gathered in chunk order.
-    d = 1 counts thresholds instead (``_threshold_excess``).
+def _membership(family: HalfspaceFamily, X: np.ndarray, Z: np.ndarray):
+    """Membership at d >= 2 of points X, all in the public span, written to
+    Z, lines by points. Line l's plus orientation (W, w0), member 2l, holds
+    x when s = W . x - w0 >= -tol, tol = MEM_TOL * (1 + |x|), and its minus
+    orientation, member 2l + 1, the exact negation, when s <= tol, as in
+    ``predict_many``. Z gets the plus orientations; returned are the points
+    on some line, which both orientations hold: their indices, ascending,
+    and their 0/1 on-line columns E, in Z's dtype. One product
+    W[lo:hi] @ X.T per chunk of lines, sized so that s stays in L2
+    (``_CHUNK_ENTRIES / 8`` float64 entries): s >= -tol gives Z's rows and
+    s > tol the points strictly inside, so a held point not strictly inside
+    is on the line, kept as an index, never in a mask. d = 1 counts
+    thresholds instead (``_threshold_excess``).
     """
     W, w0 = np.ascontiguousarray(family.W[::2]), family.w0[::2]
     tol = point_tolerances(X)
     floor = -tol
     n = X.shape[0]
-    Z = np.empty((w0.size, n), dtype=dtype)
     step = _chunk_lines(n)
-
-    def chunks(los):
-        on_line = []  # flat (line, point) indices, line-major
-        for lo in los:
-            signed = W[lo:lo + step] @ X.T
-            signed -= w0[lo:lo + step, None]
-            held = np.greater_equal(signed, floor)
-            Z[lo:lo + step] = held
-            on = np.greater(signed, tol)
-            np.greater(held, on, out=on)  # held and not strictly inside
-            on_line.append(np.flatnonzero(on) + lo * n)
-        return on_line
-
-    los = range(0, w0.size, step)
-    per = len(los) if pool is None else -(-len(los) // _cpus())
-    runs = [los[i:i + per] for i in range(0, len(los), per)]
-    on_line = [idx for run in _fork_join(chunks, runs, pool) for idx in run]
+    on_line = []  # flat (line, point) indices, line-major
+    for lo in range(0, w0.size, step):
+        signed = W[lo:lo + step] @ X.T
+        signed -= w0[lo:lo + step, None]
+        held = np.greater_equal(signed, floor)
+        Z[lo:lo + step] = held
+        on = np.greater(signed, tol)
+        np.greater(held, on, out=on)  # held and not strictly inside
+        on_line.append(np.flatnonzero(on) + lo * n)
     line, point = np.divmod(np.concatenate(on_line), n)
     pts = np.flatnonzero(np.bincount(point, minlength=n))
-    E = np.zeros((w0.size, pts.size), dtype=dtype)
+    E = np.zeros((w0.size, pts.size), dtype=Z.dtype)
     E[line, np.searchsorted(pts, point)] = 1
-    return Z, pts, E
+    return pts, E
 
 
 def _threshold_excess(family: HalfspaceFamily, sample: LabeledSample) -> np.ndarray:
@@ -430,119 +414,126 @@ def _threshold_excess(family: HalfspaceFamily, sample: LabeledSample) -> np.ndar
 
 
 def _label_operand(Z):
-    """Z, or Z widened with zero columns to two: numpy runs a product of
-    inner size 0 or 1 outside BLAS, several times slower."""
-    if Z.shape[1] >= 2:
-        return Z
-    wide = np.zeros((Z.shape[0], 2), dtype=Z.dtype)
-    wide[:, :Z.shape[1]] = Z
-    return wide
+    """Z, or Z of one column widened with a zero column: numpy runs a
+    product of inner size 1 outside BLAS, several times slower."""
+    return Z if Z.shape[1] > 1 else np.concatenate([Z, np.zeros_like(Z)], axis=1)
 
 
-def _tuple_blocks(Z, n1, pts, E, start, base, singles, pool=None):
-    """Mistake counts, offset by ``base``, over the points of ``Z`` (lines
-    by points; columns: the n1 1-labels, then the 0-labels): of every
-    member if ``singles``, then of every pair i < j of the members from
-    ``start`` on, lexicographic, in blocks. The members are numbered over
-    Z's lines, 2l + 1 the exact negation of 2l (``HalfspaceFamily``).
+def _gram(source, n, n1, L, dtype, pool=None):
+    """The sums over points that the pair counts of L lines are formed
+    from: ``source(lo, hi, out)`` gives points lo..hi of n, the n1 1-labels
+    first, as ``_membership`` does, in float32, written to ``out`` or not.
+    With +1 per 1-label and -1 per 0-label: the Gram G = Z1 Z1^T - Z0 Z0^T
+    of the label blocks, on and above its diagonal, in ``dtype``, and the
+    on-line points' signed columns of Z, columns of E and signs.
+
+    The points stream in chunks of ``_chunk_points(L)``; each label block
+    of a chunk adds its symmetric product to G in row strips of at most
+    ``_CHUNK_ENTRIES / 2`` entries, which stay in L2: syrk for a strip's
+    diagonal block, a GEMM for the block to its right (a block of one point
+    gets a zero column, ``_label_operand``). The products are integers of
+    at most the chunk size, exact in float32, and their sums integers of
+    magnitude at most n, exact in ``dtype``: G is the same in any order of
+    summation. Given a ``pool``, and when the L^2 n / 2 multiply-adds
+    reach ``_THREAD_MIN_MADDS``, each CPU streams an equal share of the
+    points into sums of its own (``_fork_join``).
+    """
+    parts = _cpus() if pool is not None and _threaded(L, n) else 1
+    step, strip = _chunk_points(L), max(1, _CHUNK_ENTRIES // (2 * L))
+    # every CPU's chunk and strip in one block: glibc keeps freed memory only up
+    # to twice its largest freed block; smaller buffers cost learn_d2 4,000 faults a pass
+    width = L * min(step, -(-n // parts))
+    work = np.empty((parts, width + min(L, strip) * L), dtype=np.float32)
+
+    def stream(i):
+        G = np.zeros((L, L), dtype=dtype)
+        end = n * (i + 1) // parts
+        # one chunk if n == 0; the first block is written to G, the rest added
+        return G, [add(G, work[i], lo, min(end, lo + step), lo == n * i // parts)
+                   for lo in range(n * i // parts, max(end, 1), step)]
+
+    def add(G, buf, lo, hi, fresh):
+        Z, out = buf[:L * (hi - lo)].reshape(L, hi - lo), buf[width:].reshape(-1, L)
+        Z, pts, E = source(lo, hi, Z)
+        split = min(max(n1 - lo, 0), hi - lo)
+        for block, sum_into in ((Z[:, :split], np.add), (Z[:, split:], np.subtract)):
+            if block.shape[1]:
+                block = _label_operand(block)
+                for a in range(0, L, strip):
+                    b = min(L, a + strip)
+                    part = G[a:b, a:] if fresh else out[:b - a, :L - a]
+                    np.matmul(block[a:b], block[a:b].T, out=part[:, :b - a])
+                    if b < L:
+                        np.matmul(block[a:b], block[b:].T, out=part[:, b - a:])
+                    if not fresh or sum_into is np.subtract:  # G = 0 - part when fresh
+                        sum_into(0 if fresh else G[a:b, a:], part, out=G[a:b, a:])
+                fresh = False
+        s = np.where(pts < split, np.float32(1), np.float32(-1))
+        return Z[:, pts] * s, E, s
+
+    (G, online), *partials = _fork_join(stream, range(parts), pool)
+    for G_i, online_i in partials:
+        G += G_i
+        online += online_i
+    if len(online) > 1:
+        online = [[np.concatenate(cols, axis=-1) for cols in zip(*online)]]
+    return (G, *(cols.astype(dtype, copy=False) for cols in online[0]))
+
+
+def _tuple_blocks(G, sP, E, s, total, start, base, singles):
+    """Mistake counts, offset by ``base``, from the sums of ``_gram`` over
+    points of signed count ``total``: of every member if ``singles``, then
+    of every pair i < j of the members from ``start`` on, lexicographic,
+    in blocks; member 2l + 1 of G's lines negates 2l (``HalfspaceFamily``).
 
     Over the points, with +1 per 1-label and -1 per 0-label, the plus
     orientation P_l of line l is a row of Z and the minus orientation is
-    1 - P_l + O_l, where O_l, the on-line points, lie in P_l. They come as
-    indices ``pts`` into Z's columns and on-line columns ``E``. With the
-    signed sizes r_l = |P_l|, o_l = |O_l| and A of all points, the signed
-    intersections of the four orientation pairs of lines l and m follow
-    from G = P_l . P_m, the one large product, and the products
-    C = P_l . O_m, C' = O_l . P_m and D = O_l . O_m over the k on-line
-    points:
+    1 - P_l + O_l, where O_l, the on-line points, lie in P_l. With the
+    signed sizes r_l = |P_l|, the diagonal of G, o_l = |O_l| and A of all
+    points, the signed intersections of the four orientation pairs of
+    lines l and m follow from G = P_l . P_m and the products C = P_l . O_m,
+    C' = O_l . P_m and D = O_l . O_m over the k on-line points:
 
         plus-plus    G
         plus-minus   r_l - G + C
         minus-plus   r_m - G + C'
         minus-minus  A - r_l - r_m + o_l + o_m + G - C - C' + D
 
-    G = Z1 Z1^T - Z0 Z0^T, where Z1 and Z0 are the label blocks of Z's
-    columns: two symmetric products, which numpy runs as syrk. A block of
-    fewer than two points gets zero columns (``_label_operand``). G is
-    formed in row strips of at most ``_CHUNK_ENTRIES / 2`` entries, only
-    on and above the diagonal: syrk for the strip's diagonal block, a GEMM
-    for the block to its right. A strip stays in L2 while its blocks are
-    written; taller strips gain little on syrk at large n and lose more
-    on the writes at small n. Each correction, with its row and column
-    terms as extra rank-one rows, is one small GEMM of inner size at
-    most 2k + 2. The four blocks are interleaved by member, at most
-    ``_CHUNK_ENTRIES`` entries at a time, and the pairs i < j of members
-    from ``start`` on kept. Every partial sum is an integer of magnitude
-    at most 4n, exact in ``Z``'s dtype (``_score_blocks``), so G is the
-    same in any order of summation. Given a ``pool``, and when this
-    call's L^2 n / 2 multiply-adds reach ``_THREAD_MIN_MADDS``, each
-    strip is the sum of one partial strip per CPU, over an equal share of
-    each label block's points (``_fork_join``); the calling thread sums
-    them and assembles and yields the blocks, in rank order.
+    Each correction, with its row and column terms as extra rank-one rows,
+    is one small GEMM of inner size at most 2k + 2. The four blocks are
+    interleaved by member, at most ``_CHUNK_ENTRIES`` entries at a time,
+    and the pairs i < j of members from ``start`` on kept. Every value is
+    an integer of magnitude at most 4n, exact in G's dtype.
     """
-    L, n = Z.shape
-    k = pts.size
-    Z1, Z0 = _label_operand(Z[:, :n1]), _label_operand(Z[:, n1:])
-    sgn = np.ones(n, dtype=Z.dtype)
-    sgn[n1:] = -1
-    s = sgn[pts]
-    sP = Z[:, pts] * s
-    r = Z @ sgn
+    L, k = E.shape
+    r = G.diagonal()
     o_r = E @ s - r
-    count_plus = base + r
-    count_minus = o_r + (base + 2 * n1 - n)  # base + A - r + o
+    count_minus = o_r + (base + total)  # base + A - r + o
     if singles:
-        both = np.concatenate([count_plus[:, None], count_minus[:, None]], axis=1)
-        yield both.ravel()
+        yield np.concatenate([(base + r)[:, None], count_minus[:, None]], axis=1).ravel()
     # the corrections and their rank-one terms as row factors:
     # plus.T @ on = C + r_l + base, on.T @ plus = C' + r_m + base, and
     # minus.T @ cols = the minus-minus count - G. No inner size is 1,
     # which numpy would not hand to BLAS.
-    ones = np.ones((1, L), dtype=Z.dtype)
+    ones = np.ones((1, L), dtype=G.dtype)
     left = np.concatenate([sP.T, r[None], base * ones, (E * s - sP).T, E.T, count_minus[None],
                            ones])
     right = np.concatenate([E.T, ones, ones, E.T, -sP.T, ones, o_r[None]])
     plus, minus, on, cols = left[:k + 2], left[k + 2:], right[:k + 2], right[k + 2:]
-    # member ids over Z's lines; a row member before ``start`` keeps no column
+    # member ids over G's lines; a row member before ``start`` keeps no column
     member = np.arange(2 * L)
     row_member = np.where(member < start, 2 * L, member)
-    strip = _strip_lines(L)
     rows = max(1, _CHUNK_ENTRIES // (4 * L))
-    if not _threaded(L, n):
-        pool = None
-    parts = 1 if pool is None else _cpus()
-    shares = [(slice(Z1.shape[1] * i // parts, Z1.shape[1] * (i + 1) // parts),
-               slice(Z0.shape[1] * i // parts, Z0.shape[1] * (i + 1) // parts))
-              for i in range(parts)]
-
-    def gram(a, share):
-        b = min(L, a + strip)
-        Z1s, Z0s = Z1[:, share[0]], Z0[:, share[1]]
-        G = np.empty((b - a, L - a), dtype=Z.dtype)
-        block = G[:, :b - a]
-        np.matmul(Z1s[a:b], Z1s[a:b].T, out=block)
-        block -= Z0s[a:b] @ Z0s[a:b].T
-        if b < L:
-            block = G[:, b - a:]
-            np.matmul(Z1s[a:b], Z1s[b:].T, out=block)
-            block -= Z0s[a:b] @ Z0s[b:].T
-        return G
-
-    for a in range(0, L, strip):
-        G, *partials = _fork_join(partial(gram, a), shares, pool)
-        for part in partials:
-            G += part
-        b = a + G.shape[0]
-        for c in range(a, b, rows):
-            e = min(b, c + rows)
-            g = G[c - a:e - a, c - a:]
-            out = np.empty((e - c, 2, L - c, 2), dtype=Z.dtype)
-            np.add(g, base, out=out[:, 0, :, 0])
-            np.subtract(plus[:, c:e].T @ on[:, c:], g, out=out[:, 0, :, 1])
-            np.subtract(on[:, c:e].T @ plus[:, c:], g, out=out[:, 1, :, 0])
-            np.add(minus[:, c:e].T @ cols[:, c:], g, out=out[:, 1, :, 1])
-            keep = member[2 * c:] > row_member[2 * c:2 * e, None]
-            yield out.reshape(2 * (e - c), -1)[keep]
+    for c in range(0, L, rows):
+        e = min(L, c + rows)
+        g = G[c:e, c:]
+        out = np.empty((e - c, 2, L - c, 2), dtype=G.dtype)
+        np.add(g, base, out=out[:, 0, :, 0])
+        np.subtract(plus[:, c:e].T @ on[:, c:], g, out=out[:, 0, :, 1])
+        np.subtract(on[:, c:e].T @ plus[:, c:], g, out=out[:, 1, :, 0])
+        np.add(minus[:, c:e].T @ cols[:, c:], g, out=out[:, 1, :, 1])
+        keep = member[2 * c:] > row_member[2 * c:2 * e, None]
+        yield out.reshape(2 * (e - c), -1)[keep]
 
 
 def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
@@ -554,23 +545,21 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
 
     At d = 1 every member is a threshold: its counts come from one sort and
     binary searches (``_threshold_excess``), with no (F, n) matrix. At
-    d >= 2 the work is done once per line, members 2l and 2l + 1, not once
-    per member: one membership row per line over the points in the public
-    span (``_membership``), from which both orientations follow by integer
-    inclusion-exclusion (``_tuple_blocks``). Singles are signed row totals.
-    A tuple of size s >= 2 restricts the points to those inside its first
-    s-2 members once, gathering their columns; one symmetric product per
-    label over those points then scores every choice of the last two.
-    Pairs cost (F/2)^2 * n / 2 multiply-adds, done as syrk. Counts at
-    d >= 2 come as floats holding exact integers.
+    d >= 2 the work is done once per line, members 2l and 2l + 1, over the
+    points in the public span: both orientations follow by integer
+    inclusion-exclusion (``_tuple_blocks``) from sums over the points
+    (``_gram``). A tuple of size s >= 2 restricts the points to those
+    inside its first s-2 members, and one symmetric product per label over
+    them scores every choice of the last two. Membership is taken chunk by
+    chunk at d = 2 and whole at d >= 3, where the prefixes need it. Counts
+    at d >= 2 come as floats holding exact integers.
 
     When the pairs' Gram over all lines and points reaches
     ``_THREAD_MIN_MADDS`` and the process may run on more than one CPU,
     the pass opens a thread pool for its own lifetime, one thread per CPU
-    but the calling one, which works too. The membership and every
-    ``_tuple_blocks`` call get it; a tuple call over few points keeps to
-    the calling thread by its own check. The pool is shut down when the
-    pass ends, is closed early or raises.
+    but the calling one, which works too. Every ``_gram`` call gets it; a
+    call over few points keeps to the calling thread by its own check. The
+    pool is shut down when the pass ends, is closed early or raises.
     """
     zero = sample.y == 0
     n0 = int(np.count_nonzero(zero))
@@ -587,20 +576,32 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     X = np.concatenate([X1, sample.X[span & zero]])
     n1 = X1.shape[0]
     L, n = F // 2, X.shape[0]
+    if dim > 2:
+        Z = np.empty((L, n), dtype=np.float32)
+        pts, E = _membership(family, X, Z)
+        where = np.full(n, -1)  # a point's column of E; -1 off every line
+        where[pts] = np.arange(pts.size)
+        keep = np.arange(n)
+
+    def source(lo, hi, out):  # points lo..hi of those kept, over lines l0 on
+        if dim == 2:
+            return out, *_membership(family, X[lo:hi], out)
+        cols = keep[lo:hi]
+        on = np.flatnonzero(where[cols] >= 0)
+        return Z[l0:, cols], on, E[l0:, where[cols[on]]]
+
     opened = contextlib.nullcontext()
     if _threaded(L, n) and (cpus := _cpus()) > 1:
         from concurrent.futures import ThreadPoolExecutor  # a 6 ms import, paid here only
         opened = ThreadPoolExecutor(cpus - 1, thread_name_prefix="ppmlearn-score")
     with opened as pool:
-        # the GEMMs and the sums after them form integers of magnitude at
-        # most 4n, exact in float32 while 4n <= 2^24
-        wide = 4 * sample.n > _FLOAT32_EXACT
-        Z, pts, E = _membership(family, X, np.float64 if wide else np.float32, pool)
+        # the sums and the counts formed from them are integers of at most 4n
+        dtype = np.float64 if 4 * sample.n > _FLOAT32_EXACT else np.float32
         rank = 1
         for size in range(2, dim + 1):
             for prefix in itertools.combinations(range(F - 2), size - 2):
                 start = prefix[-1] + 1 if prefix else 0
-                part = Z, n1, pts, E
+                l0, m, m1 = start // 2, n, n1
                 if prefix:
                     inside = np.ones(n, dtype=bool)
                     for p in prefix:
@@ -610,11 +611,9 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
                             held[pts[E[p // 2] > 0]] = True
                         inside &= held
                     keep = np.flatnonzero(inside)
-                    on = inside[pts]
-                    l0 = start // 2
-                    part = (Z[l0:, keep], int(np.searchsorted(keep, n1)),
-                            np.searchsorted(keep, pts[on]), E[l0:, on])
-                for counts in _tuple_blocks(*part, start % 2, n0, not prefix, pool):
+                    m, m1 = keep.size, int(np.searchsorted(keep, n1))
+                sums = _gram(source, m, m1, L - l0, dtype, pool)
+                for counts in _tuple_blocks(*sums, 2 * m1 - m, start % 2, n0, not prefix):
                     yield rank, counts
                     rank += counts.size
 
@@ -667,7 +666,8 @@ def swap_mistake_counts(family: HalfspaceFamily, swaps: LabeledSample, dim: int)
     # member by sample by point; points off the public span are in no member
     held = np.zeros((F // 2, 2, swaps.n), dtype=np.int8)
     span = family.aff.contains_many(swaps.X)
-    Z, pts, E = _membership(family, swaps.X[span], np.int8)
+    Z = np.empty((F // 2, np.count_nonzero(span)), dtype=np.int8)
+    pts, E = _membership(family, swaps.X[span], Z)
     held[:, 0, span] = Z
     minus = 1 - Z
     minus[:, pts] += E

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent import futures
 
 import numpy as np
@@ -398,14 +399,21 @@ def test_all_mistake_counts_match_naive_enumeration():
 
 
 def test_counts_switch_to_float64_past_the_float32_limit(monkeypatch):
-    dtypes = []
-    real = learner._membership
+    # chunks of three points: the sums run over several chunks
+    monkeypatch.setattr(learner, "_chunk_points", lambda lines: 3)
+    memberships, sums = [], []
+    real_membership, real_blocks = learner._membership, learner._tuple_blocks
 
-    def spy(family, X, dtype, pool=None):
-        dtypes.append(dtype)
-        return real(family, X, dtype, pool)
+    def membership(family, X, Z):
+        memberships.append(Z.dtype)
+        return real_membership(family, X, Z)
 
-    monkeypatch.setattr(learner, "_membership", spy)
+    def blocks(*sums_and_args):
+        sums.append({a.dtype for a in sums_and_args[:4]})
+        return real_blocks(*sums_and_args)
+
+    monkeypatch.setattr(learner, "_membership", membership)
+    monkeypatch.setattr(learner, "_tuple_blocks", blocks)
     for dim, n, seed in [(2, 12, 1), (3, 9, 2)]:
         ds = label_determined_dataset(dim, n, seed=seed, eta=0.2)
         s_prime = partition(ds)[2]
@@ -415,10 +423,13 @@ def test_counts_switch_to_float64_past_the_float32_limit(monkeypatch):
                  for g in class_oracle(fam, dim)]
         for limit, dtype in [(1 << 24, np.float32), (3, np.float64)]:
             monkeypatch.setattr(learner, "_FLOAT32_EXACT", limit)
-            dtypes.clear()
+            memberships.clear()
+            sums.clear()
             assert all_mistake_counts(fam, s_prime, dim).tolist() == naive
-            # one membership matrix for both labels, one row per line
-            assert dtypes == [dtype]
+            # the accumulated sums widen past the limit; the membership of
+            # each chunk, and so every per-chunk product, stays float32
+            assert sums and all(kinds == {np.dtype(dtype)} for kinds in sums)
+            assert memberships and set(memberships) == {np.dtype(np.float32)}
 
 
 def assert_counts_match_naive(fam, sample, dim):
@@ -481,7 +492,7 @@ def test_line_scorer_matches_naive_enumeration(points, dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_line_scorer_agrees_across_chunks(dim, monkeypatch):
-    # one line per pair chunk and a handful of points per membership chunk
+    # one point per chunk, one line per strip and per membership product
     monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 7)
     for points in LINE_INPUTS:
         assert_counts_match_naive(*_line_family(points, dim, 5), dim)
@@ -495,6 +506,57 @@ def test_line_scorer_agrees_across_chunks(dim, monkeypatch):
         assert_counts_match_naive(fam, sample, dim)
         strips.append(-(-lines // 3))
     assert max(strips) >= 4
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_counts_do_not_depend_on_the_point_chunk(dim, chunk, monkeypatch):
+    # chunks of one label and of both, chunks of on-line points only, and
+    # samples of one label, whose other label block is empty
+    monkeypatch.setattr(learner, "_chunk_points", lambda lines: chunk)
+    chunks = []  # (points, on-line points) of every chunk streamed
+    real = learner._gram
+
+    def gram(source, *args):
+        def watched(lo, hi, out):
+            Z, on, E = source(lo, hi, out)
+            chunks.append((hi - lo, on.size))
+            return Z, on, E
+
+        return real(watched, *args)
+
+    monkeypatch.setattr(learner, "_gram", gram)
+    for points in LINE_INPUTS:
+        fam, sample = _line_family(points, dim, 5)
+        assert_counts_match_naive(fam, sample, dim)
+        for label in (0, 1):
+            assert_counts_match_naive(fam, labeled(sample.X, np.full(sample.n, label)), dim)
+    assert max(size for size, _ in chunks) == chunk
+    assert any(size == on > 0 for size, on in chunks)
+
+
+def test_d2_scoring_memory_does_not_grow_with_the_sample():
+    # the pair sums are streamed over chunks of points: from n to 8n points
+    # the tracemalloc peak grows by the scorer's copy of the sample and its
+    # masks, about 26 bytes a point, where a membership matrix of every
+    # point would add 4 bytes per line per point, 544 here
+    rng = np.random.default_rng(3)
+    fam = construct_halfspace_family(labeled(rng.standard_normal((16, 2)), np.zeros(16)), 2)
+    lines = fam.size // 2
+    n = 8000
+    assert lines == 136 and n >= learner._chunk_points(lines)  # full chunks at n
+    assert not learner._threaded(lines, 8 * n)  # no per-CPU sums
+    peaks = []
+    for size in (n, 8 * n):
+        X = rng.standard_normal((size, 2))
+        sample = labeled(X, (X[:, 0] > 0).astype(int))
+        tracemalloc.start()
+        try:
+            all_mistake_counts(fam, sample, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 7 * n
 
 
 def _swap_publics(rng, dim, flat):
@@ -556,7 +618,7 @@ def _counting_executor(monkeypatch, opened):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_threaded_scoring_matches_the_sequential_path(dim, monkeypatch):
     # every d >= 2 call on a pool with more workers than cores, one line
-    # per strip and per membership chunk, and a thread switch every 10 us:
+    # per strip, a few points per chunk, and a thread switch every 10 us:
     # the counts equal the sequential path's and scoring each hypothesis
     monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)
     cases = [_line_family(points, dim, seed)
@@ -592,7 +654,7 @@ def test_threaded_scoring_matches_the_sequential_path(dim, monkeypatch):
 
 
 def test_scoring_opens_a_pool_from_the_gate_on(monkeypatch):
-    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)  # a task per line
+    monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)  # a few points per chunk
     monkeypatch.setattr(learner, "_cpus", lambda: 2)
     fam, sample = _line_family(_lines_generator, 2, 0)
     lines, points = fam.size // 2, sample.n  # every point is in the span
@@ -603,7 +665,8 @@ def test_scoring_opens_a_pool_from_the_gate_on(monkeypatch):
         _counting_executor(monkeypatch, opened)
         counts.append(all_mistake_counts(fam, sample, 2).tolist())
         assert opened == [1] * pools  # one pool thread next to the calling one
-    # each Gram strip summed from two halves of the points, and formed whole
+    # the Gram summed from two halves of the points, each streamed chunk by
+    # chunk, and from all of them on the calling thread
     assert counts[0] == counts[1]
 
 
@@ -662,29 +725,32 @@ def test_fork_join_keeps_order_and_raises_a_task_error():
             assert sorted(ended) == sorted(set(items) - {7})
 
 
-@pytest.mark.parametrize("fail_at", [0, 1, 2, 5])
-def test_a_pool_task_error_leaves_the_scorer_and_stops_its_pool(fail_at, monkeypatch):
-    # with three CPUs, two membership runs go to the pool, then two partial
-    # Gram strips per strip: the failing task is one of the membership's or
-    # of the pairs'
+@pytest.mark.parametrize("step, fail_at", [
+    pytest.param(step, fail_at, id=str(fail_at))
+    for step, fail_at in [("_membership", 0), ("_label_operand", 1), ("_membership", 2),
+                          ("_label_operand", 5)]])
+def test_a_pool_task_error_leaves_the_scorer_and_stops_its_pool(step, fail_at, monkeypatch):
+    # with three CPUs, two pool tasks stream their shares of the points
+    # chunk by chunk next to the calling thread: the pool tasks' calls of a
+    # chunk's membership, or of a label block's Gram accumulation, are
+    # counted, and one of them fails
     monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)
     monkeypatch.setattr(learner, "_THREAD_MIN_MADDS", 0)
     monkeypatch.setattr(learner, "_cpus", lambda: 3)
-    real = futures.ThreadPoolExecutor
-    submits = itertools.count()
+    real = getattr(learner, step)
+    calls = itertools.count()
 
     def failing(*args):
-        raise KeyError("pool task")
+        if threading.current_thread().name.startswith("ppmlearn-score"):
+            if next(calls) == fail_at:
+                raise KeyError("pool task")
+        return real(*args)
 
-    class FailingExecutor(real):
-        def submit(self, fn, *args):
-            return super().submit(failing if next(submits) == fail_at else fn, *args)
-
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", FailingExecutor)
+    monkeypatch.setattr(learner, step, failing)
     fam, sample = _line_family(_lines_generator, 2, 0)
     with pytest.raises(KeyError, match="pool task"):
         all_mistake_counts(fam, sample, 2)
-    assert next(submits) > fail_at  # the failing task was submitted
+    assert next(calls) > fail_at  # the failing call was made
     assert not [t for t in threading.enumerate() if t.name.startswith("ppmlearn-score")]
 
 
