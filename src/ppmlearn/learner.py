@@ -23,13 +23,12 @@ chunk) per CPU, whatever n. A chunk's products are exact in float32; their
 sums, integers of magnitude at most 4n, go to float64 once 4n passes 2^24.
 Counts are stored as uint16 while n < 65,536 and as uint32 beyond.
 
-A scoring pass whose pair Gram takes at least ``_THREAD_MIN_MADDS``
-multiply-adds runs on every CPU the process may use, on a thread pool that
-lives for that pass alone (``_fork_join``): each CPU streams an equal share
-of the points into sums of its own, and the calling thread adds them up.
-Every sum is an exact integer, so the counts are bit-identical either way.
-Smaller passes, and every d = 1 pass, run on the calling thread and start
-no thread.
+A pair Gram of at least ``_THREAD_MIN_MADDS`` multiply-adds runs on every
+CPU the process may use, on a thread pool that lives for that Gram alone:
+each CPU streams an equal share of the points into sums of its own, and
+the calling thread adds them up. Every sum is an exact integer, so the
+counts are bit-identical either way. Smaller Grams, and every d = 1 pass,
+run on the calling thread and start no thread.
 
 The DP audit's swap pairs are scored all at once, with the same membership
 and rank order (``swap_mistake_counts``).
@@ -37,7 +36,6 @@ and rank order (``swap_mistake_counts``).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
@@ -256,10 +254,10 @@ def predict_many(g: IntersectionHypothesis, family: HalfspaceFamily, X) -> np.nd
     """Label of each row of X: 0 iff the point lies in the public span and
     in every member halfspace of ``g``, 1 otherwise."""
     X = np.asarray(X, dtype=float)
-    if g.is_empty_region:
-        return np.ones(X.shape[0], dtype=np.uint8)
     if X.ndim != 2 or X.shape[1] != family.dim:
         raise DimensionMismatch(f"points have shape {X.shape}, expected (n, {family.dim})")
+    if g.is_empty_region:
+        return np.ones(X.shape[0], dtype=np.uint8)
     inside = family.aff.contains_many(X)
     tol = point_tolerances(X)
     for i in g.members:
@@ -303,19 +301,6 @@ def _chunk_points(L: int) -> int:
 def _threaded(L: int, n: int) -> bool:
     """Whether a pair Gram over L lines and n points runs on threads."""
     return L * L * n >= 2 * _THREAD_MIN_MADDS
-
-
-def _fork_join(fn, items, pool):
-    """``[fn(item) for item in items]``, one item per worker: the pool
-    runs every item but the first while the calling thread computes that
-    one. Every task has ended when this returns or raises; the first
-    error in item order is raised."""
-    futures = [pool.submit(fn, item) for item in items[1:]]
-    try:
-        return [fn(items[0])] + [future.result() for future in futures]
-    finally:
-        for future in futures:
-            future.exception()  # waits for the task; a later error is dropped
 
 
 def _membership(family: HalfspaceFamily, X: np.ndarray, Z: np.ndarray):
@@ -419,7 +404,7 @@ def _label_operand(Z):
     return Z if Z.shape[1] > 1 else np.concatenate([Z, np.zeros_like(Z)], axis=1)
 
 
-def _gram(source, n, n1, L, dtype, pool=None):
+def _gram(source, n, n1, L, dtype):
     """The sums over points that the pair counts of L lines are formed
     from: ``source(lo, hi, out)`` gives points lo..hi of n, the n1 1-labels
     first, as ``_membership`` does, in float32, written to ``out`` or not.
@@ -434,11 +419,12 @@ def _gram(source, n, n1, L, dtype, pool=None):
     gets a zero column, ``_label_operand``). The products are integers of
     at most the chunk size, exact in float32, and their sums integers of
     magnitude at most n, exact in ``dtype``: G is the same in any order of
-    summation. Given a ``pool``, and when the L^2 n / 2 multiply-adds
-    reach ``_THREAD_MIN_MADDS``, each CPU streams an equal share of the
-    points into sums of its own (``_fork_join``).
+    summation. When the L^2 n / 2 multiply-adds reach ``_THREAD_MIN_MADDS``,
+    each CPU streams an equal share of the points into sums of its own: the
+    calling thread the first share, and a pool that lives for this call
+    alone the others.
     """
-    parts = _cpus() if pool is not None and _threaded(L, n) else 1
+    parts = _cpus() if _threaded(L, n) else 1
     step, strip = _chunk_points(L), max(1, _CHUNK_ENTRIES // (2 * L))
     # every CPU's chunk and strip in one block: glibc keeps freed memory only up
     # to twice its largest freed block; smaller buffers cost learn_d2 4,000 faults a pass
@@ -448,11 +434,11 @@ def _gram(source, n, n1, L, dtype, pool=None):
     def stream(i):
         G = np.zeros((L, L), dtype=dtype)
         end = n * (i + 1) // parts
-        # one chunk if n == 0; the first block is written to G, the rest added
-        return G, [add(G, work[i], lo, min(end, lo + step), lo == n * i // parts)
+        # one chunk if n == 0
+        return G, [add(G, work[i], lo, min(end, lo + step))
                    for lo in range(n * i // parts, max(end, 1), step)]
 
-    def add(G, buf, lo, hi, fresh):
+    def add(G, buf, lo, hi):
         Z, out = buf[:L * (hi - lo)].reshape(L, hi - lo), buf[width:].reshape(-1, L)
         Z, pts, E = source(lo, hi, Z)
         split = min(max(n1 - lo, 0), hi - lo)
@@ -461,17 +447,23 @@ def _gram(source, n, n1, L, dtype, pool=None):
                 block = _label_operand(block)
                 for a in range(0, L, strip):
                     b = min(L, a + strip)
-                    part = G[a:b, a:] if fresh else out[:b - a, :L - a]
+                    part = out[:b - a, :L - a]
                     np.matmul(block[a:b], block[a:b].T, out=part[:, :b - a])
                     if b < L:
                         np.matmul(block[a:b], block[b:].T, out=part[:, b - a:])
-                    if not fresh or sum_into is np.subtract:  # G = 0 - part when fresh
-                        sum_into(0 if fresh else G[a:b, a:], part, out=G[a:b, a:])
-                fresh = False
+                    sum_into(G[a:b, a:], part, out=G[a:b, a:])
         s = np.where(pts < split, np.float32(1), np.float32(-1))
         return Z[:, pts] * s, E, s
 
-    (G, online), *partials = _fork_join(stream, range(parts), pool)
+    if parts == 1:
+        shares = [stream(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # a 6 ms import, paid here only
+        # leaving the block waits for every task, also when one raises
+        with ThreadPoolExecutor(parts - 1, thread_name_prefix="ppmlearn-score") as pool:
+            tasks = [pool.submit(stream, i) for i in range(1, parts)]
+            shares = [stream(0)] + [task.result() for task in tasks]
+    (G, online), *partials = shares
     for G_i, online_i in partials:
         G += G_i
         online += online_i
@@ -553,13 +545,6 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
     them scores every choice of the last two. Membership is taken chunk by
     chunk at d = 2 and whole at d >= 3, where the prefixes need it. Counts
     at d >= 2 come as floats holding exact integers.
-
-    When the pairs' Gram over all lines and points reaches
-    ``_THREAD_MIN_MADDS`` and the process may run on more than one CPU,
-    the pass opens a thread pool for its own lifetime, one thread per CPU
-    but the calling one, which works too. Every ``_gram`` call gets it; a
-    call over few points keeps to the calling thread by its own check. The
-    pool is shut down when the pass ends, is closed early or raises.
     """
     zero = sample.y == 0
     n0 = int(np.count_nonzero(zero))
@@ -590,32 +575,27 @@ def _score_blocks(family: HalfspaceFamily, sample: LabeledSample, dim: int):
         on = np.flatnonzero(where[cols] >= 0)
         return Z[l0:, cols], on, E[l0:, where[cols[on]]]
 
-    opened = contextlib.nullcontext()
-    if _threaded(L, n) and (cpus := _cpus()) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # a 6 ms import, paid here only
-        opened = ThreadPoolExecutor(cpus - 1, thread_name_prefix="ppmlearn-score")
-    with opened as pool:
-        # the sums and the counts formed from them are integers of at most 4n
-        dtype = np.float64 if 4 * sample.n > _FLOAT32_EXACT else np.float32
-        rank = 1
-        for size in range(2, dim + 1):
-            for prefix in itertools.combinations(range(F - 2), size - 2):
-                start = prefix[-1] + 1 if prefix else 0
-                l0, m, m1 = start // 2, n, n1
-                if prefix:
-                    inside = np.ones(n, dtype=bool)
-                    for p in prefix:
-                        held = Z[p // 2] > 0
-                        if p % 2:
-                            held = ~held
-                            held[pts[E[p // 2] > 0]] = True
-                        inside &= held
-                    keep = np.flatnonzero(inside)
-                    m, m1 = keep.size, int(np.searchsorted(keep, n1))
-                sums = _gram(source, m, m1, L - l0, dtype, pool)
-                for counts in _tuple_blocks(*sums, 2 * m1 - m, start % 2, n0, not prefix):
-                    yield rank, counts
-                    rank += counts.size
+    # the sums and the counts formed from them are integers of at most 4n
+    dtype = np.float64 if 4 * sample.n > _FLOAT32_EXACT else np.float32
+    rank = 1
+    for size in range(2, dim + 1):
+        for prefix in itertools.combinations(range(F - 2), size - 2):
+            start = prefix[-1] + 1 if prefix else 0
+            l0, m, m1 = start // 2, n, n1
+            if prefix:
+                inside = np.ones(n, dtype=bool)
+                for p in prefix:
+                    held = Z[p // 2] > 0
+                    if p % 2:
+                        held = ~held
+                        held[pts[E[p // 2] > 0]] = True
+                    inside &= held
+                keep = np.flatnonzero(inside)
+                m, m1 = keep.size, int(np.searchsorted(keep, n1))
+            sums = _gram(source, m, m1, L - l0, dtype)
+            for counts in _tuple_blocks(*sums, 2 * m1 - m, start % 2, n0, not prefix):
+                yield rank, counts
+                rank += counts.size
 
 
 def all_mistake_counts(family: HalfspaceFamily, sample: LabeledSample, dim: int) -> np.ndarray:

@@ -2,7 +2,6 @@ import itertools
 import math
 import sys
 import threading
-import time
 import tracemalloc
 from concurrent import futures
 
@@ -337,6 +336,17 @@ def test_predict_examples():
     assert predict_many(EMPTY_REGION, fam, [[0.0, 0.0]]).tolist() == [1]
 
 
+def test_predict_many_refuses_points_of_another_shape_for_every_hypothesis():
+    # the empty region labels every point 1, but only points of the family's
+    # dimension, as a member hypothesis does
+    fam = quadrant_family()
+    for X in (np.ones((4, 3)), np.ones(2), np.ones((2, 1))):
+        for g in (EMPTY_REGION, IntersectionHypothesis((0,))):
+            with pytest.raises(DimensionMismatch):
+                predict_many(g, fam, X)
+    assert predict_many(EMPTY_REGION, fam, np.ones((4, 2))).tolist() == [1] * 4
+
+
 def test_predict_outside_affine_subspace():
     aff = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))  # x-axis
     fam = HalfspaceFamily([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0], [[-1, -1]] * 2, aff, (0,), 2)
@@ -628,8 +638,15 @@ def test_threaded_scoring_matches_the_sequential_path(dim, monkeypatch):
         expected.append(all_mistake_counts(fam, sample, dim).tolist())
         assert expected[-1] == [hypothesis_error(g, fam, sample).mistakes
                                 for g in class_oracle(fam, dim)]
-    opened = []
+    opened, grams = [], []
     _counting_executor(monkeypatch, opened)
+    real_gram = learner._gram
+
+    def gram(*args):
+        grams.append(args)
+        return real_gram(*args)
+
+    monkeypatch.setattr(learner, "_gram", gram)
     monkeypatch.setattr(learner, "_THREAD_MIN_MADDS", 0)
     monkeypatch.setattr(learner, "_cpus", lambda: 64)
     got = []
@@ -648,9 +665,11 @@ def test_threaded_scoring_matches_the_sequential_path(dim, monkeypatch):
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert got == [expected] * 3
-    # a pool thread per CPU but the calling one, 63 threads, more than the
-    # cores of a CI runner
-    assert opened == [63] * (3 * len(cases))
+    # one pool per Gram, a thread per CPU but the calling one, 63 threads,
+    # more than the cores of a CI runner: one Gram a pass at d = 2, one a
+    # prefix at d = 3
+    assert opened == [63] * len(grams)
+    assert len(grams) == 3 * len(cases) if dim == 2 else len(grams) > 3 * len(cases)
 
 
 def test_scoring_opens_a_pool_from_the_gate_on(monkeypatch):
@@ -685,55 +704,43 @@ def test_audit_size_scoring_opens_no_pool(monkeypatch):
         learn_half(ds, 1.0, seed=0)
 
 
-def test_closing_the_scorer_early_shuts_its_pool_down(monkeypatch):
+def _scoring_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("ppmlearn-score")]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_no_scoring_thread_is_alive_between_blocks(dim, monkeypatch):
+    # every Gram runs on a pool of its own, shut before its counts are
+    # formed: none is alive while the scorer is suspended at a block, nor
+    # after it is closed early
     monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)
     monkeypatch.setattr(learner, "_THREAD_MIN_MADDS", 0)
     monkeypatch.setattr(learner, "_cpus", lambda: 3)
-
-    def pool_threads():
-        return [t for t in threading.enumerate() if t.name.startswith("ppmlearn-score")]
-
-    fam, sample = _line_family(_lines_generator, 2, 0)
-    blocks = learner._score_blocks(fam, sample, 2)
+    opened = []
+    _counting_executor(monkeypatch, opened)
+    fam, sample = _line_family(_lines_generator, dim, 0)
+    for block in learner._score_blocks(fam, sample, dim):
+        assert not _scoring_threads(), block[0]
+    assert opened and set(opened) == {2}
+    blocks = learner._score_blocks(fam, sample, dim)
     for _ in range(4):  # the empty region, the singles, two pair blocks
         next(blocks)
-    assert pool_threads()
     blocks.close()
-    assert not pool_threads()
+    assert not _scoring_threads()
 
 
-def test_fork_join_keeps_order_and_raises_a_task_error():
-    ended = []
-
-    def square_below_7(i):
-        if i == 7:
-            raise KeyError(i)
-        time.sleep(0.01)
-        ended.append(i)
-        return i * i
-
-    with futures.ThreadPoolExecutor(2) as pool:
-        assert learner._fork_join(square_below_7, [5], None) == [25]
-        for items in (range(3), range(7)):  # as many items as workers, and more
-            assert learner._fork_join(square_below_7, items, pool) == [i * i for i in items]
-        # the caller's item fails, a pool task's, and a queued task's: every
-        # other task has ended by the time the error is raised
-        for items in ([7, 1, 2], [1, 7, 2], [1, 2, 3, 4, 5, 6, 7]):
-            ended.clear()
-            with pytest.raises(KeyError):
-                learner._fork_join(square_below_7, items, pool)
-            assert sorted(ended) == sorted(set(items) - {7})
-
-
-@pytest.mark.parametrize("step, fail_at", [
-    pytest.param(step, fail_at, id=str(fail_at))
+@pytest.mark.parametrize("step, fail_at, caller_fails", [
+    pytest.param(step, fail_at, False, id=str(fail_at))
     for step, fail_at in [("_membership", 0), ("_label_operand", 1), ("_membership", 2),
-                          ("_label_operand", 5)]])
-def test_a_pool_task_error_leaves_the_scorer_and_stops_its_pool(step, fail_at, monkeypatch):
+                          ("_label_operand", 5)]] + [
+    pytest.param("_membership", 0, True, id="calling-thread-and-0")])
+def test_a_pool_task_error_leaves_the_scorer_and_stops_its_pool(step, fail_at, caller_fails,
+                                                                monkeypatch):
     # with three CPUs, two pool tasks stream their shares of the points
     # chunk by chunk next to the calling thread: the pool tasks' calls of a
     # chunk's membership, or of a label block's Gram accumulation, are
-    # counted, and one of them fails
+    # counted, and one of them fails. When the calling thread's share fails
+    # too, its error is the one raised, after the pool tasks have ended.
     monkeypatch.setattr(learner, "_CHUNK_ENTRIES", 64)
     monkeypatch.setattr(learner, "_THREAD_MIN_MADDS", 0)
     monkeypatch.setattr(learner, "_cpus", lambda: 3)
@@ -744,14 +751,16 @@ def test_a_pool_task_error_leaves_the_scorer_and_stops_its_pool(step, fail_at, m
         if threading.current_thread().name.startswith("ppmlearn-score"):
             if next(calls) == fail_at:
                 raise KeyError("pool task")
+        elif caller_fails:
+            raise KeyError("calling thread")
         return real(*args)
 
     monkeypatch.setattr(learner, step, failing)
     fam, sample = _line_family(_lines_generator, 2, 0)
-    with pytest.raises(KeyError, match="pool task"):
+    with pytest.raises(KeyError, match="calling thread" if caller_fails else "pool task"):
         all_mistake_counts(fam, sample, 2)
     assert next(calls) > fail_at  # the failing call was made
-    assert not [t for t in threading.enumerate() if t.name.startswith("ppmlearn-score")]
+    assert not _scoring_threads()
 
 
 def _few_per_label(rng, dim, n1, n0):
